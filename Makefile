@@ -1,6 +1,6 @@
 # Convenience wrapper; everything below is plain dune.
 
-.PHONY: check build test test-checked lint certify kernels-smoke bench bench-rounds bench-bitpack bench-join bench-join-quick bench-scale bench-scale-quick bench-service bench-service-quick bench-net bench-net-quick serve party-demo clean
+.PHONY: check build test test-checked lint certify kernels-smoke bench bench-suite bench-suite-quick bench-scale bench-scale-quick bench-service bench-service-quick bench-net bench-net-quick serve party-demo clean
 
 # Query-service knobs (flags win; see DESIGN.md "Query service")
 ORQ_SOCKET ?= /tmp/orq-service.sock
@@ -33,8 +33,8 @@ test-checked:
 
 # Oblivious-transcript certificate: predicted (cost model over a shape
 # twin) vs measured structural transcripts for the 31-query suite under
-# all three protocols; writes CERTIFICATE.json. ~2 min; `--quick` or
-# ORQ_CERTIFY_QUICK=1 runs a representative subset in seconds.
+# all three protocols; writes CERTIFICATE.json. ~2 min; `--quick` runs a
+# representative subset in seconds.
 # The second pass re-certifies with out-of-core streaming forced on
 # (small chunks, tight budget): all (query, protocol) pairs must still
 # certify, i.e. chunked execution leaves the oblivious transcript and
@@ -44,48 +44,39 @@ certify:
 	ORQ_CHUNK_ROWS=512 ORQ_MEM_BUDGET=4M dune exec bin/orq_lint.exe -- certify --out CERTIFICATE_chunked.json
 
 # Quick micro-kernel benchmark at 2 domains: exercises the pool dispatch
-# path end to end and refreshes BENCH_kernels.json (quick sizes, ~10s).
+# path end to end, gates the packed flag-lane AND at >= 8x the word AND,
+# and refreshes BENCH_kernels.json (quick sizes, ~10s).
 kernels-smoke:
-	ORQ_KERNELS_QUICK=1 dune exec bench/main.exe -- micro-kernels --domains 2
+	dune exec bench/main.exe -- micro-kernels --quick --domains 2
 
 bench:
 	dune exec bench/main.exe
 
-# Round-fusion audit: every query fused vs ORQ_NO_FUSION=1, asserting
-# byte-identical traffic and plaintext-validated results; refreshes
-# BENCH_rounds.json. ORQ_ROUNDS_QUICK=1 runs a representative subset.
-bench-rounds:
-	dune exec bench/main.exe -- rounds --sf 0.0002 --n 400
+# Query-suite audit: every query (22 TPC-H + 9 prior-work) under all
+# three protocols in the default, no-fusion and word-flags configs, plus
+# forced sort/linear/quad joins on Q3/Q5/Q7/Q9/Q21; each cell runs once
+# over datasets generated once, and every run is plaintext-validated.
+# Gates: fusion keeps bits/messages, packed flags keep rounds/bits/
+# messages, linear beats sort on rounds or bits, and cost-based auto never
+# loses to a forced join. Refreshes BENCH_suite.json. The quick target
+# runs the headline queries under sh-hm (~1 min).
+bench-suite:
+	dune exec bench/main.exe -- suite
 
-# Bit-packed flag-lane audit: packed-vs-word micro speedup (>= 8x gate),
-# end-to-end sort/group-by wall clock, and the full query suite with
-# packing on vs off asserting identical values and traffic; refreshes
-# BENCH_bitpack.json. ORQ_BITPACK_QUICK=1 runs a representative subset.
-bench-bitpack:
-	dune exec bench/main.exe -- bitpack
-
-# Physical-join selection audit: the join-heavy TPC-H queries under
-# forced sort/linear/quad and cost-based auto (ORQ_JOIN), every run
-# plaintext-validated; gates that linear beats sort on measured rounds
-# and/or bits and that auto never loses to a forced mode; refreshes
-# BENCH_join.json. ORQ_JOIN_QUICK=1 runs Q3/Q9 under sh-hm in ~2 min.
-bench-join:
-	dune exec bench/main.exe -- join --sf 0.0002
-
-bench-join-quick:
-	ORQ_JOIN_QUICK=1 dune exec bench/main.exe -- join --sf 0.0002
+bench-suite-quick:
+	dune exec bench/main.exe -- suite --quick
 
 # Out-of-core scaling audit: chunked streaming overhead vs monolithic
 # (<= 1.3x), an SF 0.1 run completing under a budget clamped to 1/4 of
 # its own unlimited peak (with real spills and identical tallies), and
 # the SF ladder behind EXPERIMENTS.md; refreshes BENCH_scale.json.
-# ORQ_SCALE_QUICK=1 shrinks the big run to SF 0.02 (~5 min);
-# ORQ_SCALE_SF overrides the big-run scale factor.
+# --quick shrinks the big run to SF 0.02 (~5 min); ORQ_SCALE_SF overrides
+# the big-run scale factor.
 bench-scale:
 	dune exec bench/main.exe -- scale
 
 bench-scale-quick:
-	ORQ_SCALE_QUICK=1 dune exec bench/main.exe -- scale
+	dune exec bench/main.exe -- scale --quick
 
 # Foreground query service on $(ORQ_SOCKET); query it with
 #   dune exec bin/orq_cli.exe -- query --socket $(ORQ_SOCKET) "SELECT ..."
@@ -97,13 +88,13 @@ serve:
 # LAN-paced (workers hold their slot for the query's modeled network
 # time) and every cold response is checked byte-identical against the
 # serial workers=1 reference; exits nonzero if 8-worker cold throughput
-# is below 4x the single worker. ORQ_SERVICE_QUICK=1 shrinks it to a
-# workers 1-vs-4 gate (>= 2x) in a few seconds.
+# is below 4x the single worker. --quick shrinks it to a workers 1-vs-4
+# gate (>= 2x) in a few seconds.
 bench-service:
 	dune exec bench/service.exe
 
 bench-service-quick:
-	ORQ_SERVICE_QUICK=1 dune exec bench/service.exe
+	dune exec bench/service.exe -- --quick
 
 # Forked local 3-party cluster on loopback TCP — real OS processes
 # exchanging real framed messages — running demo queries and printing
@@ -117,12 +108,12 @@ party-demo:
 # cluster on loopback TCP (2/3/4 processes) and push the SQL suite
 # through it, asserting every response and every measured wire counter
 # byte-identical to the in-process simulation; refreshes BENCH_net.json.
-# ORQ_NET_QUICK=1 runs a 3-query subset per protocol in seconds.
+# --quick runs a 3-query subset per protocol in seconds.
 bench-net:
 	dune exec bench/net.exe
 
 bench-net-quick:
-	ORQ_NET_QUICK=1 dune exec bench/net.exe
+	dune exec bench/net.exe -- --quick
 
 clean:
 	dune clean

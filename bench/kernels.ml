@@ -8,11 +8,17 @@
     rep3 recombination chains, for regression and allocation-ratio
     comparisons.
 
-    Quick mode ([ORQ_KERNELS_QUICK=1], used by [make check]) shrinks sizes
-    and iteration budgets to a few seconds while still exercising the
+    It also measures the packed single-bit share lanes ([Share.flags], 63
+    flags per word) against the width-1 word primitives they replace —
+    interactive AND, XOR and opening under SH-HM at the largest size — and
+    exits 1 unless the packed AND is at least 8x cheaper per element.
+
+    Quick mode ([--quick], used by [make check]) shrinks sizes and
+    iteration budgets to a few seconds while still exercising the
     parallel dispatch path. *)
 
 open Orq_util
+open Orq_proto
 
 type entry = {
   op : string;
@@ -22,26 +28,24 @@ type entry = {
   alloc_b_per_elt : float;
 }
 
-let quick () = Sys.getenv_opt "ORQ_KERNELS_QUICK" <> None
-
 (* Sizes must clear 2x [Parallel.min_chunk] (= 131072) or the pool never
    splits work across domains and the multi-domain speedup rows measure
    pure dispatch overhead (< 1.0x). *)
-let sizes () = if quick () then [ 131_072 ] else [ 131_072; 1_048_576 ]
-let domain_counts () = if quick () then [ 1; 2 ] else [ 1; 2; 4 ]
+let sizes ~quick = if quick then [ 131_072 ] else [ 131_072; 1_048_576 ]
+let domain_counts ~quick = if quick then [ 1; 2 ] else [ 1; 2; 4 ]
 
 (* Measure [f] over enough iterations for a stable per-element figure;
    returns (ns/element, allocated bytes/element). Takes the best of three
    timed blocks, each started from a collected heap — a single mean is
    easily skewed by a major-GC slice landing inside one block or by
    scheduler noise on a shared host. *)
-let measure ~n (f : unit -> unit) : float * float =
+let measure ~quick ~n (f : unit -> unit) : float * float =
   f ();
   (* warm-up: page in inputs, spin up the pool *)
   let t0 = Unix.gettimeofday () in
   f ();
   let once = Unix.gettimeofday () -. t0 in
-  let target = if quick () then 0.02 else 0.08 in
+  let target = if quick then 0.02 else 0.08 in
   let iters = max 3 (min 2000 (int_of_float (target /. max 1e-6 once))) in
   let best = ref infinity and alloc = ref 0. in
   for _rep = 1 to 3 do
@@ -74,13 +78,33 @@ let naive_rep3_arith ~xi ~yi ~xj ~yj ~alpha =
 
 (* ---- the benchmark matrix ---- *)
 
-let run () =
+(* Packed flag lanes vs word-per-flag at [n] (SH-HM, whose interactive
+   AND draws randomness per word): (op, packed, word) measurements. *)
+let flag_lanes ~quick n =
+  let ctx = Ctx.create ~seed:21 Ctx.Sh_hm in
+  let bits seed = Array.init n (fun i -> ((i * 73) lxor seed) land 1) in
+  let x = Mpc.share_b ctx (bits 1) and y = Mpc.share_b ctx (bits 2) in
+  let xf = Share.pack_flags x and yf = Share.pack_flags y in
+  let m f = measure ~quick ~n (fun () -> ignore (f ())) in
+  [
+    ( "band1",
+      m (fun () -> Mpc.band_f ctx xf yf),
+      m (fun () -> Mpc.band ~width:1 ctx x y) );
+    ("xor1", m (fun () -> Mpc.xor_f xf yf), m (fun () -> Mpc.xor x y));
+    ( "open1",
+      m (fun () -> Mpc.open_f ctx xf),
+      m (fun () -> Mpc.open_ ~width:1 ctx x) );
+  ]
+
+let run ~quick () =
+  let sizes = sizes ~quick and domain_counts = domain_counts ~quick in
+  let measure = measure ~quick in
   Bench_util.section
     "micro-kernels: Vec/fused kernel throughput and allocations";
   Printf.printf
     "host: %d hardware domain(s) recommended; pool lanes under test: %s\n%!"
     (Domain.recommended_domain_count ())
-    (String.concat "," (List.map string_of_int (domain_counts ())));
+    (String.concat "," (List.map string_of_int domain_counts));
   let saved_domains = Parallel.get_num_domains () in
   let saved_chunk = Parallel.get_min_chunk () in
   let entries = ref [] in
@@ -122,7 +146,7 @@ let run () =
             (measure ~n (fun () ->
                  Array.fill dst 0 n 0;
                  Vec.rep3_arith_into dst ~xi:a ~yi:b ~xj:c ~yj:d)))
-        (domain_counts ());
+        domain_counts;
       (* seed-style baselines, inherently sequential: domains = 1 *)
       Parallel.set_num_domains 1;
       record "mul_seed" n 1
@@ -136,7 +160,14 @@ let run () =
       record "rep3_unfused" n 1
         (measure ~n (fun () ->
              ignore (naive_rep3_arith ~xi:a ~yi:b ~xj:c ~yj:d ~alpha:e))))
-    (sizes ());
+    sizes;
+  let nmax = List.fold_left max 0 sizes in
+  (* packed flag lanes, at 1 domain like the baselines *)
+  List.iter
+    (fun (op, packed, word) ->
+      record (op ^ "_packed") nmax 1 packed;
+      record (op ^ "_word") nmax 1 word)
+    (flag_lanes ~quick nmax);
   Parallel.set_num_domains saved_domains;
   Parallel.set_min_chunk saved_chunk;
   let entries = List.rev !entries in
@@ -144,8 +175,7 @@ let run () =
   let find op n dn =
     List.find_opt (fun r -> r.op = op && r.n = n && r.domains = dn) entries
   in
-  let nmax = List.fold_left max 0 (sizes ()) in
-  let dmax = List.fold_left max 1 (domain_counts ()) in
+  let dmax = List.fold_left max 1 domain_counts in
   let ratio num den =
     match (num, den) with
     | Some a, Some b when b.ns_per_elt > 0. -> a.ns_per_elt /. b.ns_per_elt
@@ -167,6 +197,14 @@ let run () =
   let rep3_allocs =
     alloc_ratio (find "rep3_unfused" nmax 1) (find "rep3_fused" nmax 1)
   in
+  let packed_speedup op =
+    ratio (find (op ^ "_word") nmax 1) (find (op ^ "_packed") nmax 1)
+  in
+  let flag_speedups =
+    List.map (fun op -> (op, packed_speedup op)) [ "band1"; "xor1"; "open1" ]
+  in
+  (* the acceptance bar: interactive AND at least 8x cheaper per element *)
+  let band1_pass = packed_speedup "band1" >= 8.0 in
   Bench_util.row "summary (n=%d):" nmax;
   Bench_util.row "  mul  speedup x%d domains      %.2fx" dmax speedup_mul;
   Bench_util.row "  band speedup x%d domains      %.2fx" dmax speedup_band;
@@ -176,30 +214,38 @@ let run () =
     reg_band;
   Bench_util.row "  Beaver unfused/fused allocations %.1fx" beaver_allocs;
   Bench_util.row "  rep3   unfused/fused allocations %.1fx" rep3_allocs;
-  (* ---- JSON ---- *)
-  let oc = open_out "BENCH_kernels.json" in
-  let pf fmt = Printf.fprintf oc fmt in
-  let fnum x = if Float.is_nan x then "null" else Printf.sprintf "%.4f" x in
-  pf "{\n  \"schema\": \"orq-kernels-v1\",\n";
-  pf "  \"quick\": %b,\n" (quick ());
-  pf "  \"hardware_domains\": %d,\n" (Domain.recommended_domain_count ());
-  pf "  \"summary\": {\n";
-  pf "    \"speedup_mul_%dd\": %s,\n" dmax (fnum speedup_mul);
-  pf "    \"speedup_band_%dd\": %s,\n" dmax (fnum speedup_band);
-  pf "    \"slowdown_mul_1d_vs_seed\": %s,\n" (fnum reg_mul);
-  pf "    \"slowdown_band_1d_vs_seed\": %s,\n" (fnum reg_band);
-  pf "    \"alloc_ratio_beaver_unfused_over_fused\": %s,\n" (fnum beaver_allocs);
-  pf "    \"alloc_ratio_rep3_unfused_over_fused\": %s\n" (fnum rep3_allocs);
-  pf "  },\n  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      pf
-        "    {\"op\": %S, \"n\": %d, \"domains\": %d, \"ns_per_elt\": %s, \
-         \"alloc_b_per_elt\": %s}%s\n"
-        r.op r.n r.domains (fnum r.ns_per_elt) (fnum r.alloc_b_per_elt)
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  pf "  ]\n}\n";
-  close_out oc;
+  List.iter
+    (fun (op, s) ->
+      Bench_util.row "  %-5s packed flags vs word @1d      %.1fx faster" op s)
+    flag_speedups;
+  let open Json in
+  let num = fixed 4 in
+  let result r =
+    Obj
+      [ ("op", String r.op); ("n", Int r.n); ("domains", Int r.domains);
+        ("ns_per_elt", num r.ns_per_elt);
+        ("alloc_b_per_elt", num r.alloc_b_per_elt) ]
+  in
+  to_file "BENCH_kernels.json"
+    (Obj
+       [ ("schema", String "orq-kernels-v1"); ("quick", Bool quick);
+         ("hardware_domains", Int (Domain.recommended_domain_count ()));
+         ( "summary",
+           Obj
+             ([ (Printf.sprintf "speedup_mul_%dd" dmax, num speedup_mul);
+                (Printf.sprintf "speedup_band_%dd" dmax, num speedup_band);
+                ("slowdown_mul_1d_vs_seed", num reg_mul);
+                ("slowdown_band_1d_vs_seed", num reg_band);
+                ("alloc_ratio_beaver_unfused_over_fused", num beaver_allocs);
+                ("alloc_ratio_rep3_unfused_over_fused", num rep3_allocs) ]
+             @ List.map
+                 (fun (op, s) -> ("speedup_" ^ op ^ "_packed_over_word", num s))
+                 flag_speedups
+             @ [ ("band1_speedup_gate_8x", Bool band1_pass) ]) );
+         ("results", List (List.map result entries)) ]);
   Bench_util.row "wrote BENCH_kernels.json (%d measurements)"
-    (List.length entries)
+    (List.length entries);
+  if not band1_pass then begin
+    Bench_util.row "GATE FAILED: packed band1 below 8x the word AND";
+    exit 1
+  end

@@ -6,36 +6,47 @@
       dune exec bench/main.exe                 # everything, quick sizes
       dune exec bench/main.exe -- fig4         # one experiment
       dune exec bench/main.exe -- fig4 --sf 0.002 --n 2000   # bigger
+      dune exec bench/main.exe -- suite --quick  # query-suite audit, CI size
     Experiments: fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-                 table1 table2 table7 ablation micro micro-kernels
+                 table1 table2 table7 ablation micro micro-kernels suite
+                 scale
     Flags: --sf F (TPC-H scale), --n N (other datasets),
            --domains D (data-parallel local loops, §4; also honors the
-           ORQ_DOMAINS env var — the flag wins). micro-kernels runs only
-           when named explicitly and writes BENCH_kernels.json. *)
+           ORQ_DOMAINS env var — the flag wins),
+           --quick (micro-kernels, suite, scale: the CI-sized run).
+    micro-kernels, suite and scale run only when named explicitly and
+    write BENCH_kernels.json, BENCH_suite.json and BENCH_scale.json. *)
 
 let experiments =
   [ "all"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
     "fig12"; "table1"; "table2"; "table7"; "ablation"; "micro";
-    "micro-kernels"; "rounds"; "bitpack"; "join"; "scale" ]
+    "micro-kernels"; "suite"; "scale" ]
 
 let usage () =
-  Printf.printf "usage: main.exe [%s] [--sf F] [--n N]\n"
+  Printf.printf "usage: main.exe [%s] [--sf F] [--n N] [--domains D] [--quick]\n"
     (String.concat "|" experiments);
   exit 1
 
 let () =
   Orq_util.Parallel.init_from_env ();
   let args = Array.to_list Sys.argv |> List.tl in
+  let quick = ref false in
   let rec parse (cmds, sf, nn) = function
     | [] -> (cmds, sf, nn)
-    | "--sf" :: v :: rest -> parse (cmds, float_of_string v, nn) rest
-    | "--n" :: v :: rest -> parse (cmds, sf, int_of_string v) rest
+    | "--sf" :: v :: rest -> parse (cmds, Some (float_of_string v), nn) rest
+    | "--n" :: v :: rest -> parse (cmds, sf, Some (int_of_string v)) rest
     | "--domains" :: v :: rest ->
         Orq_util.Parallel.set_num_domains (int_of_string v);
         parse (cmds, sf, nn) rest
+    | "--quick" :: rest ->
+        quick := true;
+        parse (cmds, sf, nn) rest
     | c :: rest -> parse (c :: cmds, sf, nn) rest
   in
-  let cmds, sf, n = parse ([], 0.0005, 600) args in
+  let cmds, sf_opt, n_opt = parse ([], None, None) args in
+  let quick = !quick in
+  let sf = Option.value sf_opt ~default:0.0005 in
+  let n = Option.value n_opt ~default:600 in
   let cmds = if cmds = [] then [ "all" ] else List.rev cmds in
   if List.exists (fun c -> not (List.mem c experiments)) cmds then usage ();
   let sizes_small = [ 256; 512; 1024 ] in
@@ -64,19 +75,15 @@ let () =
   if has "micro" then Micro.run ();
   (* explicit-only: the domain sweep over 1M-element vectors is not part of
      the quick "all" pass *)
-  if List.mem "micro-kernels" cmds then Kernels.run ();
-  (* explicit-only: fused-vs-unfused round comparison over the query
-     workloads; writes BENCH_rounds.json *)
-  if List.mem "rounds" cmds then Rounds.run ~sf ~other_n:n ();
-  (* out-of-core chunked streaming: overhead, budgeted big run, SF ladder;
-     writes BENCH_scale.json (named explicitly, never part of "all") *)
-  if List.mem "scale" cmds then Scale.run ();
-  (* explicit-only: packed-vs-word flag lanes micro + end-to-end + query
-     suite invariant gate; writes BENCH_bitpack.json *)
-  if List.mem "bitpack" cmds then Bitpack.run ();
-  (* explicit-only: physical-join operator comparison (sort vs linear vs
-     quad vs cost-based auto) over the join-heavy queries; writes
-     BENCH_join.json *)
-  if List.mem "join" cmds then Join.run ~sf ();
+  if List.mem "micro-kernels" cmds then Kernels.run ~quick ();
+  (* every query x protocol x engine config, each cell once; the dataset
+     sizes default to the certifier's, where every query is nonempty *)
+  if List.mem "suite" cmds then
+    Suite.run ~quick
+      ~sf:(Option.value sf_opt ~default:0.0002)
+      ~other_n:(Option.value n_opt ~default:400)
+      ();
+  (* out-of-core chunked streaming: overhead, budgeted big run, SF ladder *)
+  if List.mem "scale" cmds then Scale.run ~quick ();
   Printf.printf "\ntotal bench wall time: %.1fs\n"
     (Unix.gettimeofday () -. t0)

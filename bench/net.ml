@@ -19,7 +19,7 @@
    LAN time — the interesting number is the measured bytes, which are
    identical by construction, not simulated).
 
-   Writes BENCH_net.json. ORQ_NET_QUICK=1 shrinks the suite to three
+   Writes BENCH_net.json. --quick shrinks the suite to three
    queries per protocol (the CI smoke job). *)
 
 open Orq_proto
@@ -32,10 +32,15 @@ module Client = Orq_service.Client
 module Cluster = Orq_party.Cluster
 module Tpch_gen = Orq_workloads.Tpch_gen
 
+module Json = Orq_util.Json
+
 let quick () =
-  match Sys.getenv_opt "ORQ_NET_QUICK" with
-  | Some ("0" | "") | None -> false
-  | Some _ -> true
+  match Array.to_list Sys.argv with
+  | [ _ ] -> false
+  | [ _; "--quick" ] -> true
+  | _ ->
+      prerr_endline "usage: net.exe [--quick]";
+      exit 2
 
 let sf = 0.001
 let seed = 42
@@ -194,34 +199,33 @@ let () =
   let bad =
     List.filter (fun r -> not (r.x_result_ok && r.x_wire_ok)) rows
   in
-  let oc = open_out "BENCH_net.json" in
-  let pf fmt = Printf.fprintf oc fmt in
-  pf "{\n  \"schema\": \"orq-net-v1\",\n";
-  pf "  \"quick\": %b,\n  \"sf\": %g,\n  \"seed\": %d,\n" q sf seed;
-  pf
-    "  \"note\": \"real multi-party deployment on loopback TCP: one OS \
-     process per party, full mesh, one framed message per metered round. \
-     result_identical = cluster response byte-identical to the in-process \
-     simulation; wire_identical = measured on-the-wire bits/messages equal \
-     the Comm tally and physical exchanges = metered rounds + fusion \
-     refunds. wall_s is loopback wall-clock; lan_est_s is the Netsim model \
-     at LAN latency.\",\n";
-  pf "  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      pf
-        "    {\"proto\": %S, \"sql\": %S, \"rounds\": %d, \"bits\": %d, \
-         \"messages\": %d, \"exchanges\": %d, \"refunds\": %d, \
-         \"payload_bytes\": %d, \"frames\": %d, \"wall_s\": %.4f, \
-         \"lan_est_s\": %.4f, \"result_identical\": %b, \
-         \"wire_identical\": %b}%s\n"
-        r.x_proto r.x_sql r.x_rounds r.x_bits r.x_msgs r.x_exchanges
-        r.x_refunds r.x_payload_bytes r.x_frames r.x_wall_s r.x_lan_s
-        r.x_result_ok r.x_wire_ok
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pf "  ],\n  \"failures\": %d\n}\n" (List.length bad);
-  close_out oc;
+  let open Json in
+  let result r =
+    Obj
+      [ ("proto", String r.x_proto); ("sql", String r.x_sql);
+        ("rounds", Int r.x_rounds); ("bits", Int r.x_bits);
+        ("messages", Int r.x_msgs); ("exchanges", Int r.x_exchanges);
+        ("refunds", Int r.x_refunds); ("payload_bytes", Int r.x_payload_bytes);
+        ("frames", Int r.x_frames); ("wall_s", fixed 4 r.x_wall_s);
+        ("lan_est_s", fixed 4 r.x_lan_s);
+        ("result_identical", Bool r.x_result_ok);
+        ("wire_identical", Bool r.x_wire_ok) ]
+  in
+  to_file "BENCH_net.json"
+    (Obj
+       [ ("schema", String "orq-net-v1"); ("quick", Bool q); ("sf", Float sf);
+         ("seed", Int seed);
+         ( "note",
+           String
+             "real multi-party deployment on loopback TCP: one OS process \
+              per party, full mesh, one framed message per metered round. \
+              result_identical = cluster response byte-identical to the \
+              in-process simulation; wire_identical = measured on-the-wire \
+              bits/messages equal the Comm tally and physical exchanges = \
+              metered rounds + fusion refunds. wall_s is loopback \
+              wall-clock; lan_est_s is the Netsim model at LAN latency." );
+         ("results", List (List.map result rows));
+         ("failures", Int (List.length bad)) ]);
   Printf.printf "wrote BENCH_net.json (%d runs)\n%!" (List.length rows);
   if bad <> [] then begin
     Printf.eprintf

@@ -14,7 +14,7 @@
     The SF ladder at the end feeds EXPERIMENTS.md: peak resident bytes
     vs table bytes as the data outgrows a fixed-fraction budget.
 
-    Quick mode (ORQ_SCALE_QUICK=1) shrinks the big run to SF 0.02. *)
+    Quick mode (--quick) shrinks the big run to SF 0.02. *)
 
 open Orq_proto
 open Orq_workloads
@@ -22,11 +22,7 @@ open Bench_util
 module Chunkvec = Orq_util.Chunkvec
 module Comm = Orq_net.Comm
 module Table = Orq_core.Table
-
-let getenv_flag v =
-  match Sys.getenv_opt v with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
+module Json = Orq_util.Json
 
 (* run [f] with the streaming knobs set, restoring the global state *)
 let with_streaming ~rows ~budget f =
@@ -112,8 +108,7 @@ type ladder_row = {
   ld_ok : bool;
 }
 
-let run () =
-  let quick = getenv_flag "ORQ_SCALE_QUICK" in
+let run ~quick () =
   let kind = Ctx.Sh_hm in
   let sf_speed = 0.01 in
   let sf_big =
@@ -274,41 +269,41 @@ let run () =
   if not big_pass then hdr "BIG-RUN GATE FAILED (see above)";
   if not ladder_pass then hdr "LADDER GATE FAILED (peak above budget + slack)";
 
-  let oc = open_out "BENCH_scale.json" in
-  Printf.fprintf oc
-    "{\n  \"protocol\": \"%s\",\n  \"quick\": %b,\n  \"speed\": {\n\
-    \    \"sf\": %g,\n    \"chunk_rows\": 8192,\n    \"queries\": [\n%s\n\
-    \    ],\n    \"aggregate_ratio\": %.3f,\n    \"gate_ratio\": 1.30,\n\
-    \    \"pass\": %b\n  },\n  \"big\": {\n    \"sf\": %g,\n\
-    \    \"query\": \"%s\",\n    \"table_bytes\": %d,\n\
-    \    \"unlimited_peak_bytes\": %d,\n    \"budget_bytes\": %d,\n\
-    \    \"budget_peak_bytes\": %d,\n    \"spills\": %d,\n\
-    \    \"wall_s\": %.3f,\n    \"rss_peak_kb\": %d,\n\
-    \    \"tally_match\": %b,\n    \"validated\": %b,\n    \"pass\": %b\n\
-    \  },\n  \"ladder\": [\n%s\n  ],\n  \"pass\": %b\n}\n"
-    (Ctx.kind_label kind) quick sf_speed
-    (String.concat ",\n"
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              "      {\"name\":\"%s\",\"mono_s\":%.3f,\"chunked_s\":%.3f,\
-               \"tally_match\":%b,\"validated\":%b}"
-              r.sp_name r.sp_mono_s r.sp_chunked_s r.sp_tally_match r.sp_ok)
-          speed))
-    speed_ratio speed_pass sf_big big.bg_query big.bg_table_bytes
-    big.bg_unlimited_peak big.bg_budget big.bg_budget_peak big.bg_spills
-    big.bg_wall_s big.bg_rss_peak_kb big.bg_tally_match big.bg_ok big_pass
-    (String.concat ",\n"
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              "    {\"sf\":%g,\"table_bytes\":%d,\"budget_bytes\":%d,\
-               \"peak_bytes\":%d,\"spills\":%d,\"wall_s\":%.3f,\
-               \"validated\":%b}"
-              r.ld_sf r.ld_table_bytes r.ld_budget r.ld_peak r.ld_spills
-              r.ld_wall_s r.ld_ok)
-          ladder))
-    (speed_pass && big_pass && ladder_pass);
-  close_out oc;
+  let open Json in
+  let speed_row r =
+    Obj
+      [ ("name", String r.sp_name); ("mono_s", fixed 3 r.sp_mono_s);
+        ("chunked_s", fixed 3 r.sp_chunked_s);
+        ("tally_match", Bool r.sp_tally_match); ("validated", Bool r.sp_ok) ]
+  in
+  let ladder_row r =
+    Obj
+      [ ("sf", Float r.ld_sf); ("table_bytes", Int r.ld_table_bytes);
+        ("budget_bytes", Int r.ld_budget); ("peak_bytes", Int r.ld_peak);
+        ("spills", Int r.ld_spills); ("wall_s", fixed 3 r.ld_wall_s);
+        ("validated", Bool r.ld_ok) ]
+  in
+  to_file "BENCH_scale.json"
+    (Obj
+       [ ("protocol", String (Ctx.kind_label kind)); ("quick", Bool quick);
+         ( "speed",
+           Obj
+             [ ("sf", Float sf_speed); ("chunk_rows", Int 8192);
+               ("queries", List (List.map speed_row speed));
+               ("aggregate_ratio", fixed 3 speed_ratio);
+               ("gate_ratio", Float 1.30); ("pass", Bool speed_pass) ] );
+         ( "big",
+           Obj
+             [ ("sf", Float sf_big); ("query", String big.bg_query);
+               ("table_bytes", Int big.bg_table_bytes);
+               ("unlimited_peak_bytes", Int big.bg_unlimited_peak);
+               ("budget_bytes", Int big.bg_budget);
+               ("budget_peak_bytes", Int big.bg_budget_peak);
+               ("spills", Int big.bg_spills); ("wall_s", fixed 3 big.bg_wall_s);
+               ("rss_peak_kb", Int big.bg_rss_peak_kb);
+               ("tally_match", Bool big.bg_tally_match);
+               ("validated", Bool big.bg_ok); ("pass", Bool big_pass) ] );
+         ("ladder", List (List.map ladder_row ladder));
+         ("pass", Bool (speed_pass && big_pass && ladder_pass)) ]);
   hdr "wrote BENCH_scale.json";
   if not (speed_pass && big_pass && ladder_pass) then exit 1

@@ -18,7 +18,7 @@
    (rows and tallies) against a serial workers=1 reference — the
    concurrency upgrade must not perturb the oblivious transcript.
 
-   Writes BENCH_service.json. ORQ_SERVICE_QUICK=1 shrinks the matrix to
+   Writes BENCH_service.json. --quick shrinks the matrix to
    a workers 1-vs-4 scaling gate (exits 1 below 2x); the full run gates
    8 workers at 4x. *)
 
@@ -26,10 +26,15 @@ module Service = Orq_service.Service
 module Client = Orq_service.Client
 module Wire = Orq_net.Wire
 
+module Json = Orq_util.Json
+
 let quick () =
-  match Sys.getenv_opt "ORQ_SERVICE_QUICK" with
-  | Some ("0" | "") | None -> false
-  | Some _ -> true
+  match Array.to_list Sys.argv with
+  | [ _ ] -> false
+  | [ _; "--quick" ] -> true
+  | _ ->
+      prerr_endline "usage: service.exe [--quick]";
+      exit 2
 
 let nproc () =
   try
@@ -275,41 +280,40 @@ let () =
          %!"
         proto gate_conc base top gate_workers s)
     speedups;
-  let oc = open_out "BENCH_service.json" in
-  let pf fmt = Printf.fprintf oc fmt in
-  pf "{\n  \"schema\": \"orq-service-v2\",\n";
-  pf "  \"quick\": %b,\n  \"sf\": %g,\n  \"nproc\": %d,\n" q sf (nproc ());
-  pf "  \"pace\": %S,\n" (pace_label ());
-  pf "  \"note\": \"closed-loop qps over a Unix-domain socket; cold = full \
-      oblivious execution, cache off, each worker holding its slot for the \
-      query's modeled LAN time (network-bound regime: workers overlap \
-      network time, so cold throughput scales with the pool on any core \
-      count); hit = plan-cache replay in the session threads. Every cold \
-      response is checked byte-identical (rows + tallies) against the \
-      serial workers=1 reference.\",\n";
-  pf "  \"tally_mismatches\": %d,\n" total_mismatches;
-  pf "  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      pf
-        "    {\"proto\": %S, \"workers\": %d, \"concurrency\": %d, \
-         \"cache\": %b, \"queries\": %d, \"wall_s\": %.4f, \"qps\": %.2f, \
-         \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"mismatches\": %d}%s\n"
-        r.proto r.workers r.concurrency r.cached r.n_queries r.wall_s r.qps
-        r.p50_ms r.p95_ms r.mismatches
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  pf "  ],\n  \"cold_scaling\": [\n";
-  List.iteri
-    (fun i (proto, base, top, s) ->
-      pf
-        "    {\"proto\": %S, \"concurrency\": %d, \"qps_w1\": %.2f, \
-         \"qps_w%d\": %.2f, \"speedup\": %.3f}%s\n"
-        proto gate_conc base gate_workers top s
-        (if i = List.length speedups - 1 then "" else ","))
-    speedups;
-  pf "  ]\n}\n";
-  close_out oc;
+  let open Json in
+  let run r =
+    Obj
+      [ ("proto", String r.proto); ("workers", Int r.workers);
+        ("concurrency", Int r.concurrency); ("cache", Bool r.cached);
+        ("queries", Int r.n_queries); ("wall_s", fixed 4 r.wall_s);
+        ("qps", fixed 2 r.qps); ("p50_ms", fixed 3 r.p50_ms);
+        ("p95_ms", fixed 3 r.p95_ms); ("mismatches", Int r.mismatches) ]
+  in
+  let scaling (proto, base, top, s) =
+    Obj
+      [ ("proto", String proto); ("concurrency", Int gate_conc);
+        ("qps_w1", fixed 2 base);
+        (Printf.sprintf "qps_w%d" gate_workers, fixed 2 top);
+        ("speedup", fixed 3 s) ]
+  in
+  to_file "BENCH_service.json"
+    (Obj
+       [ ("schema", String "orq-service-v2"); ("quick", Bool q);
+         ("sf", Float sf); ("nproc", Int (nproc ()));
+         ("pace", String (pace_label ()));
+         ( "note",
+           String
+             "closed-loop qps over a Unix-domain socket; cold = full \
+              oblivious execution, cache off, each worker holding its slot \
+              for the query's modeled LAN time (network-bound regime: \
+              workers overlap network time, so cold throughput scales with \
+              the pool on any core count); hit = plan-cache replay in the \
+              session threads. Every cold response is checked \
+              byte-identical (rows + tallies) against the serial workers=1 \
+              reference." );
+         ("tally_mismatches", Int total_mismatches);
+         ("results", List (List.map run runs));
+         ("cold_scaling", List (List.map scaling speedups)) ]);
   Printf.printf "wrote BENCH_service.json (%d runs)\n%!" (List.length runs);
   if total_mismatches > 0 then begin
     Printf.eprintf

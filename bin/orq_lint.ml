@@ -20,35 +20,21 @@ module Certify = Orq_analysis.Certify
 
 let say fmt = Format.printf (fmt ^^ "@.")
 
-(* ---------------- JSON rendering (hand-rolled; no dependency) -------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Orq_util.Json
 
 let json_finding ~pass ~file ~line ~rule ~site ~detail =
-  Printf.sprintf
-    "{\"pass\":\"%s\",\"file\":\"%s\",\"line\":%d,\"rule\":\"%s\",\"site\":\"%s\",\"detail\":\"%s\"}"
-    pass (json_escape file) line (json_escape rule) (json_escape site)
-    (json_escape detail)
+  Json.(
+    Obj
+      [ ("pass", String pass); ("file", String file); ("line", Int line);
+        ("rule", String rule); ("site", String site); ("detail", String detail) ])
 
 let emit_json ~pass items =
-  print_string "{\"pass\":\"";
-  print_string pass;
-  print_string "\",\"violations\":[";
-  print_string (String.concat "," items);
-  Printf.printf "],\"count\":%d}\n" (List.length items)
+  print_endline
+    Json.(
+      to_string
+        (Obj
+           [ ("pass", String pass); ("violations", List items);
+             ("count", Int (List.length items)) ]))
 
 (* ---------------- leakage lint ---------------- *)
 
@@ -175,8 +161,8 @@ let run_concur ~expect_violations ~json paths =
 
 (* ---------------- certify ---------------- *)
 
-(* Quick mode mirrors the round-fusion bench's representative subset, one
-   protocol per security model class. *)
+(* Quick mode takes a representative subset of the query-suite bench's
+   quick queries, one protocol per security model class. *)
 let quick_names = [ "Q1"; "Q4"; "Q6"; "Q13"; "Aspirin"; "Comorbidity" ]
 
 let run_certify ~quick ~sf ~other_n ~out =
@@ -188,9 +174,7 @@ let run_certify ~quick ~sf ~other_n ~out =
   let certs = Certify.run_suite ~sf ~other_n ~kinds ?names () in
   List.iter (fun c -> say "%a" Certify.pp_cert c) certs;
   let ok = Certify.all_ok certs in
-  let oc = open_out out in
-  output_string oc (Certify.report_json ~sf ~other_n certs);
-  close_out oc;
+  Json.to_file out (Certify.report_json ~sf ~other_n certs);
   say "wrote %s" out;
   let exact =
     List.length (List.filter (fun c -> c.Certify.c_mode = Certify.Exact) certs)
@@ -227,7 +211,7 @@ let lint_flags rest =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "certify" :: rest ->
-      let quick = ref (Sys.getenv_opt "ORQ_CERTIFY_QUICK" <> None) in
+      let quick = ref false in
       let sf = ref 0.0002 and n = ref 400 and out = ref "CERTIFICATE.json" in
       let rec parse = function
         | [] -> ()

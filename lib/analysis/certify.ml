@@ -237,29 +237,21 @@ let pp_cert ppf c =
     (mode_label c.c_mode) c.c_events Comm.pp_tally c.c_tally
     (if c.c_detail = "" then "" else "\n    " ^ c.c_detail)
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 (** The certificate report uploaded by CI. *)
-let report_json ?(sf = 0.0002) ?(other_n = 400) (certs : cert list) : string =
-  let rows =
-    List.map
-      (fun c ->
-        Printf.sprintf
-          "    {\"query\":\"%s\",\"protocol\":\"%s\",\"mode\":\"%s\",\
-           \"certified\":%b,\"validated\":%b,\"events\":%d,\"rounds\":%d,\
-           \"bits\":%d,\"messages\":%d,\"detail\":\"%s\"}"
-          (json_escape c.c_query) c.c_protocol (mode_label c.c_mode) c.c_ok
-          c.c_validated c.c_events c.c_tally.Comm.t_rounds
-          c.c_tally.Comm.t_bits c.c_tally.Comm.t_messages
-          (json_escape c.c_detail))
-      certs
+let report_json ?(sf = 0.0002) ?(other_n = 400) (certs : cert list) :
+    Orq_util.Json.t =
+  let open Orq_util.Json in
+  let row c =
+    Obj
+      [ ("query", String c.c_query); ("protocol", String c.c_protocol);
+        ("mode", String (mode_label c.c_mode)); ("certified", Bool c.c_ok);
+        ("validated", Bool c.c_validated); ("events", Int c.c_events);
+        ("rounds", Int c.c_tally.Comm.t_rounds);
+        ("bits", Int c.c_tally.Comm.t_bits);
+        ("messages", Int c.c_tally.Comm.t_messages);
+        ("detail", String c.c_detail) ]
   in
-  Printf.sprintf
-    "{\n  \"sf\": %g,\n  \"other_n\": %d,\n  \"certified\": %b,\n\
-    \  \"certificates\": [\n%s\n  ]\n}\n"
-    sf other_n (all_ok certs)
-    (String.concat ",\n" rows)
+  Obj
+    [ ("sf", Float sf); ("other_n", Int other_n);
+      ("certified", Bool (all_ok certs));
+      ("certificates", List (List.map row certs)) ]

@@ -43,4 +43,3 @@ val geo_four_regions : profile
 (** The paper's four-region AWS deployment, built from per-link figures;
     equals {!geo}. *)
 
-val pp_profile : Format.formatter -> profile -> unit

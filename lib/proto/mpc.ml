@@ -108,7 +108,6 @@ let share_b ctx x = Share.share ctx Bool x
 let public_a ctx n c = Share.public ctx Arith n c
 let public_b ctx n c = Share.public ctx Bool n c
 let public_a_vec ctx x = Share.public_vec ctx Arith x
-let public_b_vec ctx x = Share.public_vec ctx Bool x
 
 (* ------------------------------------------------------------------ *)
 (* Local linear operations                                             *)

@@ -51,7 +51,6 @@ val share_b : Ctx.t -> Orq_util.Vec.t -> shared
 val public_a : Ctx.t -> int -> int -> shared
 val public_b : Ctx.t -> int -> int -> shared
 val public_a_vec : Ctx.t -> Orq_util.Vec.t -> shared
-val public_b_vec : Ctx.t -> Orq_util.Vec.t -> shared
 
 (** {2 Local linear operations} *)
 

@@ -226,8 +226,6 @@ let public_flags (ctx : Ctx.t) (x : Bits.t) : flags =
           if k = 0 then Bits.copy x else Bits.create (Bits.length x));
   }
 
-let copy_flags f = { fv = Array.map Bits.copy f.fv }
-
 let flags_append a b =
   { fv = Array.init (flags_nvec a) (fun k -> Bits.append a.fv.(k) b.fv.(k)) }
 
@@ -242,10 +240,6 @@ let flags_concat_many (fs : flags array) : flags =
               Bits.concat_many (Array.map (fun f -> f.fv.(k)) fs));
       }
 
-let flags_sub_range f pos len =
-  { fv = Array.map (fun bk -> Bits.sub bk pos len) f.fv }
-
-let flags_gather f idx = { fv = Array.map (fun bk -> Bits.gather bk idx) f.fv }
 let flags_scatter f idx = { fv = Array.map (fun bk -> Bits.scatter bk idx) f.fv }
 
 (** [update_rows dst idx src] returns [dst] with row [idx.(t)] replaced by
@@ -269,7 +263,6 @@ let update_rows (dst : shared) (idx : int array) (src : shared) : shared =
 type chunked = { cenc : enc; cn : int; cv : Chunkvec.t array }
 
 let chunked_length c = c.cn
-let chunked_enc c = c.cenc
 let chunked_nvec c = Array.length c.cv
 let chunked_nchunks c = if c.cn = 0 then 0 else Chunkvec.nchunks c.cv.(0)
 let chunked_tracked c = c.cn > 0 && Chunkvec.tracked c.cv.(0)
@@ -362,22 +355,6 @@ let share_chunked (ctx : Ctx.t) enc ~n (get : int -> int -> Vec.t) : chunked =
   while !pos < n do
     let l = min rows (n - !pos) in
     let s = share ctx enc (get !pos l) in
-    Array.iteri (fun k vk -> Chunkvec.Builder.push builders.(k) vk) s.v;
-    pos := !pos + l
-  done;
-  { cenc = enc; cn = n; cv = Array.map Chunkvec.Builder.finish builders }
-
-(** Tracked sharing of a public value stream (no randomness). *)
-let public_chunked (ctx : Ctx.t) enc ~n (get : int -> int -> Vec.t) : chunked =
-  let rows = Chunkvec.chunk_rows () in
-  let nv = ctx.Ctx.nvec in
-  let builders =
-    Array.init nv (fun _ -> Chunkvec.Builder.create ~rows ~tracked:true n)
-  in
-  let pos = ref 0 in
-  while !pos < n do
-    let l = min rows (n - !pos) in
-    let s = public_vec ctx enc (get !pos l) in
     Array.iteri (fun k vk -> Chunkvec.Builder.push builders.(k) vk) s.v;
     pos := !pos + l
   done;

@@ -109,11 +109,8 @@ val share_flags : Ctx.t -> Orq_util.Bits.t -> flags
 (** Secret-share a packed bit vector with per-word mask draws. *)
 
 val public_flags : Ctx.t -> Orq_util.Bits.t -> flags
-val copy_flags : flags -> flags
 val flags_append : flags -> flags -> flags
 val flags_concat_many : flags array -> flags
-val flags_sub_range : flags -> int -> int -> flags
-val flags_gather : flags -> int array -> flags
 val flags_scatter : flags -> int array -> flags
 
 (** {2 Chunked (out-of-core) sharings}
@@ -129,7 +126,6 @@ val flags_scatter : flags -> int array -> flags
 type chunked = { cenc : enc; cn : int; cv : Orq_util.Chunkvec.t array }
 
 val chunked_length : chunked -> int
-val chunked_enc : chunked -> enc
 val chunked_nvec : chunked -> int
 val chunked_nchunks : chunked -> int
 val chunked_tracked : chunked -> bool
@@ -159,8 +155,6 @@ val map_chunks : (shared -> shared) -> chunked -> chunked
 val share_chunked : Ctx.t -> enc -> n:int -> (int -> int -> Orq_util.Vec.t) -> chunked
 (** Secret-share a plaintext chunk stream; draws are element-major, so the
     shares are byte-identical to sharing the whole vector at once. *)
-
-val public_chunked : Ctx.t -> enc -> n:int -> (int -> int -> Orq_util.Vec.t) -> chunked
 
 val append_c : chunked -> chunked -> chunked
 (** Chunk-reusing concatenation: aligned input chunks are shared, not

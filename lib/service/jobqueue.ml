@@ -32,7 +32,7 @@ type 'a cls = {
 let wait_ring_size = 512
 
 type 'a t = {
-  mutable capacity : int;
+  capacity : int;
   classes : 'a cls array;  (** indexed by {!prio_index} *)
   mutable running : int;  (** popped but not yet finished *)
   mutable closed : bool;
@@ -177,9 +177,6 @@ let counts t =
         c_running = t.running;
         c_by_class = Array.map (fun c -> c.cls_depth) t.classes;
       })
-
-let set_capacity t n =
-  with_lock t (fun () -> t.capacity <- max 0 n)
 
 let capacity t = with_lock t (fun () -> t.capacity)
 

@@ -77,9 +77,6 @@ val wait_percentiles : 'a t -> float * float
 (** (p50, p95) of recent queue-wait times in seconds, over a sliding
     window of the last 512 pops; (0, 0) before any pop. *)
 
-val set_capacity : 'a t -> int -> unit
-(** Live-adjust the in-flight bound (existing jobs are never evicted). *)
-
 val capacity : 'a t -> int
 
 val close : 'a t -> unit

@@ -176,21 +176,6 @@ let apply_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list) (t : t) :
       Comm.rounds_only ctx.comm (rounds - 1);
       List.map (fun c -> fold_components_c ctx c t ~inverse:false) cols
 
-let apply_table_inverse_c ?width (ctx : Ctx.t) (cols : Share.chunked list)
-    (t : t) : Share.chunked list =
-  match cols with
-  | [] -> []
-  | _ ->
-      let w = Option.value width ~default:ctx.ell in
-      let per_col =
-        List.map (fun c -> apply_cost ctx ~w (Share.chunked_length c)) cols
-      in
-      let bits = List.fold_left (fun a (b, _, _) -> a + b) 0 per_col in
-      let _, rounds, messages = List.hd per_col in
-      Comm.round ctx.comm ~bits ~messages;
-      Comm.rounds_only ctx.comm (rounds - 1);
-      List.map (fun c -> fold_components_c ctx c t ~inverse:true) cols
-
 (* Monolithic API: the single-chunk special case of the streaming core
    (wrap is copy-free, and on one chunk the core replays the pre-chunking
    computation exactly — values, PRG order and metering all identical). *)
@@ -205,8 +190,3 @@ let apply_inverse ?width (ctx : Ctx.t) (s : Share.shared) (t : t) :
 let apply_table ?width (ctx : Ctx.t) (cols : Share.shared list) (t : t) :
     Share.shared list =
   List.map Share.unpark (apply_table_c ?width ctx (List.map Share.wrap cols) t)
-
-let apply_table_inverse ?width (ctx : Ctx.t) (cols : Share.shared list) (t : t)
-    : Share.shared list =
-  List.map Share.unpark
-    (apply_table_inverse_c ?width ctx (List.map Share.wrap cols) t)

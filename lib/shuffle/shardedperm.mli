@@ -39,24 +39,15 @@ val apply_table :
     bytes scaling with data volume — what lets TableSort permute a whole
     table once. *)
 
-val apply_table_inverse :
-  ?width:int -> Ctx.t -> Share.shared list -> t -> Share.shared list
-
 (** {2 Chunked (out-of-core) application}
 
-    Streaming twins of the above: the local permute and per-component
+    Streaming twin of {!apply_table}: the local permute and per-component
     resharing run chunk-at-a-time through the {!Orq_util.Chunkvec} store,
     so a multi-chunk column's working set is one column (with cold chunks
     evictable), while the metered rounds/bits/messages are charged once at
     the whole-logical-vector level and are byte-identical to the
     monolithic path. The monolithic functions are the single-chunk special
-    case of these. *)
-
-val apply_c : ?width:int -> Ctx.t -> Share.chunked -> t -> Share.chunked
-val apply_inverse_c : ?width:int -> Ctx.t -> Share.chunked -> t -> Share.chunked
+    case of their streaming cores. *)
 
 val apply_table_c :
-  ?width:int -> Ctx.t -> Share.chunked list -> t -> Share.chunked list
-
-val apply_table_inverse_c :
   ?width:int -> Ctx.t -> Share.chunked list -> t -> Share.chunked list

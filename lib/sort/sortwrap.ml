@@ -84,51 +84,10 @@ let sort (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.shared)
       let key', cols' = run_base ctx Quicksort dir ~w key carry in
       (key', Quicksort.take ncarry cols')
 
-(* Shared 0..n-1 index column, chunk-by-chunk. *)
-let index_column_c (ctx : Ctx.t) n =
-  Share.public_chunked ctx Share.Bool ~n (fun pos len ->
-      Array.init len (fun i -> pos + i))
-
 (* Rematerialize a monolithic fallback result with the tracking of the
    chunked input it replaces. *)
 let repack_like (like : Share.chunked) (s : Share.shared) =
   if Share.chunked_tracked like then Share.park s else Share.wrap s
-
-(** Chunked {!sort_with_perm}: radixsort streams the key/carry columns
-    chunk-at-a-time; quicksort (wide keys) is a documented monolithic
-    fallback — its shuffle-then-open control flow keys on whole opened
-    vectors, so the columns are unparked around it. The extracted sigma
-    stays monolithic (a single index column). *)
-let sort_with_perm_c (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
-    (carry : Share.chunked list) :
-    Share.chunked * Share.chunked list * Share.shared =
-  let algo = Option.value algo ~default:(default_algo_for_width w) in
-  match algo with
-  | Quicksort ->
-      let k, c, sigma =
-        sort_with_perm ctx ~algo:Quicksort ~dir ~w (Share.unpark key)
-          (List.map Share.unpark carry)
-      in
-      (repack_like key k, List.map (repack_like key) c, sigma)
-  | Radixsort ->
-      let n = Share.chunked_length key in
-      let ncarry = List.length carry in
-      let rdir = match dir with Asc -> Radixsort.Asc | Desc -> Radixsort.Desc in
-      let key', cols' =
-        Ctx.with_label ctx "radixsort" @@ fun () ->
-        Radixsort.sort_c ctx ~bits:w ~dir:rdir key
-          (carry @ [ index_column_c ctx n ])
-      in
-      let carry' = Quicksort.take ncarry cols' in
-      let pi_c =
-        match Quicksort.drop ncarry cols' with
-        | [ pi ] -> pi
-        | _ -> assert false
-      in
-      let pi = Share.unpark pi_c in
-      Share.dispose_c pi_c;
-      let sigma = Permops.invert ctx pi in
-      (key', carry', sigma)
 
 (** Chunked {!sort} (no permutation extraction). *)
 let sort_c (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)

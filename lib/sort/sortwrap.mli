@@ -29,14 +29,9 @@ val sort :
 (** As above without extracting the permutation (single-key sorts that
     carry all their columns need none). *)
 
-val sort_with_perm_c :
-  Ctx.t -> ?algo:algo -> dir:dir -> w:int -> Share.chunked ->
-  Share.chunked list -> Share.chunked * Share.chunked list * Share.shared
-(** Chunked {!sort_with_perm}: radixsort streams the columns
-    chunk-at-a-time; quicksort is a monolithic fallback (columns unparked
-    around it). Sigma stays monolithic. Wire cost identical. *)
-
 val sort_c :
   Ctx.t -> ?algo:algo -> dir:dir -> w:int -> Share.chunked ->
   Share.chunked list -> Share.chunked * Share.chunked list
-(** Chunked {!sort}. *)
+(** Chunked {!sort}: radixsort streams the columns chunk-at-a-time;
+    quicksort is a monolithic fallback (columns unparked around it). Wire
+    cost identical. *)

@@ -50,18 +50,6 @@ let map2 f (a : t) (b : t) : t =
       done);
   out
 
-let map3 f (a : t) (b : t) (c : t) : t =
-  check3 a b c;
-  let n = Array.length a in
-  let out = Array.make n 0 in
-  Parallel.run_spans n (fun pos len ->
-      for i = pos to pos + len - 1 do
-        Array.unsafe_set out i
-          (f (Array.unsafe_get a i) (Array.unsafe_get b i)
-             (Array.unsafe_get c i))
-      done);
-  out
-
 let iteri = Array.iteri
 
 (* Ring (mod 2^63) elementwise operations — specialized loops. *)

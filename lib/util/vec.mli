@@ -18,7 +18,6 @@ val of_list : int list -> t
 val to_list : t -> int list
 val map : (int -> int) -> t -> t
 val map2 : (int -> int -> int) -> t -> t -> t
-val map3 : (int -> int -> int -> int) -> t -> t -> t -> t
 val iteri : (int -> int -> unit) -> t -> unit
 
 (** {2 Ring (mod 2^63) elementwise operations} *)

@@ -199,6 +199,51 @@ let test_comm_invariants () =
       Comm.rounds_only c 5;
       Alcotest.(check int) "barrier adds rounds" 6 c.Comm.rounds)
 
+(* ---------------- Json ---------------- *)
+
+let test_json_escape () =
+  let s v = Json.to_string (Json.String v) in
+  Alcotest.(check string) "quote + backslash" {|"a\"b\\c"|} (s {|a"b\c|});
+  Alcotest.(check string) "newline + tab" {|"x\ny\tz"|} (s "x\ny\tz");
+  Alcotest.(check string) "other control bytes" {|"\u0000\u0001\u001f"|}
+    (s "\000\001\031");
+  Alcotest.(check string) "0x20 and up pass through" "\" ~\x7f\"" (s " ~\x7f");
+  Alcotest.(check string) "high bytes raw" "\"\xc3\xa9\"" (s "\xc3\xa9");
+  Alcotest.(check string) "keys escaped" {|{"k\"":1}|}
+    (Json.to_string (Json.Obj [ ({|k"|}, Json.Int 1) ]))
+
+let test_json_numbers () =
+  let f x = Json.to_string (Json.Float x) in
+  Alcotest.(check string) "nan is null" "null" (f nan);
+  Alcotest.(check string) "infinity is null" "null" (f infinity);
+  Alcotest.(check string) "shortest round-trip" "0.1" (f 0.1);
+  Alcotest.(check string) "integral float" "2" (f 2.);
+  Alcotest.(check string) "full precision" "0.30000000000000004" (f (0.1 +. 0.2));
+  Alcotest.(check string) "fixed rounds" "0.295299"
+    (Json.to_string (Json.fixed 6 0.29529912));
+  Alcotest.(check string) "int" "-7" (Json.to_string (Json.Int (-7)))
+
+let test_json_nesting () =
+  let open Json in
+  Alcotest.(check string) "flat containers inline"
+    {|{"a":[1,true,null],"b":{"c":"d"},"e":[],"f":{}}|}
+    (to_string
+       (Obj
+          [
+            ("a", List [ Int 1; Bool true; Null ]);
+            ("b", Obj [ ("c", String "d") ]);
+            ("e", List []);
+            ("f", Obj []);
+          ]));
+  Alcotest.(check string) "a list of objects breaks, one per line"
+    "{\n  \"n\": 2,\n  \"rows\": [\n    {\"x\":1},\n    {\"x\":[2,3]}\n  ]\n}"
+    (to_string
+       (Obj
+          [
+            ("n", Int 2);
+            ("rows", List [ Obj [ ("x", Int 1) ]; Obj [ ("x", List [ Int 2; Int 3 ]) ] ]);
+          ]))
+
 let suite =
   [
     Alcotest.test_case "ring helpers" `Quick test_ring;
@@ -217,6 +262,9 @@ let suite =
     Alcotest.test_case "comm metering invariants" `Quick test_comm_invariants;
     Alcotest.test_case "netsim model" `Quick test_netsim;
     Alcotest.test_case "netsim multi-link profiles" `Quick test_netsim_links;
+    Alcotest.test_case "json escaping" `Quick test_json_escape;
+    Alcotest.test_case "json numbers" `Quick test_json_numbers;
+    Alcotest.test_case "json nesting" `Quick test_json_nesting;
   ]
 
 let () = Alcotest.run "orq_util" [ ("util", suite) ]
