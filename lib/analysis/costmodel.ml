@@ -25,6 +25,7 @@ open Orq_proto
 module Comm = Orq_net.Comm
 
 let hash_bits = 256 (* Mal-HM digest size, must match Mpc.hash_bits *)
+let ring_bits = 64 (* metered ring width, must match Ctx.create's ell *)
 
 (* One fused lane of multiplication/AND traffic (bits, messages). *)
 let mul_lane kind ~w ~n =
@@ -88,6 +89,21 @@ let lt_events kind ~w ~n =
     d := 2 * !d
   done;
   Array.of_list (List.rev !evs)
+
+(** Division of an arithmetic [n]-vector by a public constant [d]
+    ({!Orq_circuits.Divide.div_pub}): the masked opening of x + r at the
+    full metered ring width, one fused less-than ladder over both wrap
+    hypotheses (2n lanes of ⌈log₂(d+1)⌉ bits), the single-bit AND that
+    selects the hypothesis, and the daBit conversion of the selected bit.
+    The dividend's width does not appear: ⌈log₂⌈log₂(d+1)⌉⌉ + 4 rounds. *)
+let div_pub_events kind ~n ~d =
+  Array.concat
+    [
+      open_events kind ~w:ring_bits ~n;
+      lt_events kind ~w:(Orq_util.Ring.log2_ceil (d + 1)) ~n:(2 * n);
+      mul_events kind ~w:1 ~n;
+      bit_b2a_events kind ~n;
+    ]
 
 (** One sharded-permutation application over [n] elements of [w] bits
     (Table 1): a payload round followed by the remaining passes as

@@ -62,6 +62,18 @@ let all : entry list =
        is uniform";
     ok "Convert.a2b_many" Declass "open_many"
       "opens x + r with r a fresh edaBit mask; uniform in the ring (§2.3)";
+    (* --- division by a public constant: a masked opening --- *)
+    ok "Divide.div_pub" Declass "open_"
+      "opens c = x + r mod 2^63 with r a fresh uniform dealer mask \
+       (Catrina-de Hoogh, SCN 2010): c is uniform whatever x is, so it is \
+       perfectly hiding. The dividend stays below 2^61, so the wrap bit is \
+       msb(r) and not msb(c); the secret factor msb(r) is only ever used \
+       shared";
+    ok "Divide.div_pub" Branch "if"
+      "local selection on the public msb(c) (whether a wrap is possible) \
+       while deriving public per-row constants from the uniform opening \
+       above; every row runs the same interactive steps either way, so the \
+       transcript depends only on (protocol, n, d)";
     (* --- permutation protocols: openings behind a fresh random shuffle --- *)
     ok "Permops.apply_elementwise" Declass "open_"
       "Protocol 5: opens rho routed through a fresh random sharded \

@@ -17,7 +17,9 @@ type num =
   | Sub of num * num
   | Mul of num * num
   | Div of num * num  (** private divisor: non-restoring circuit *)
-  | Div_pub of num * int  (** public divisor *)
+  | Div_pub of num * int
+      (** positive public divisor (evaluation raises [Invalid_argument]
+          otherwise): masked opening, O(1) rounds *)
   | If of pred * num * num  (** oblivious CASE WHEN: multiplexed, §3 *)
 
 and pred =
@@ -127,13 +129,16 @@ let rec eval_num (t : Table.t) (e : num) : value =
       in
       { data = q; width = w; signed = false }
   | Div_pub (a, d) ->
+      if d <= 0 then invalid_arg "Expr: Div_pub divisor must be positive";
       let va = eval_num t a in
       let w = cap_width va.width in
-      let q, _ =
-        Orq_circuits.Divide.udiv_pub ctx ~w (as_bool_at ctx va w)
-          (Array.make (Table.nrows t) d)
-      in
-      { data = q; width = w; signed = false }
+      (* the protocol's domain is [0, 2^w): a negative dividend is
+         unspecified, as it was under the bit-serial circuit *)
+      {
+        data = Orq_circuits.Divide.div_pub ctx ~w (as_arith ctx va) d;
+        width = max 1 (w - (Orq_util.Ring.log2_ceil (d + 1) - 1));
+        signed = false;
+      }
   | If (p, a, b) ->
       let bit = eval_pred t p in
       let va = eval_num t a and vb = eval_num t b in

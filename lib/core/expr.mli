@@ -13,7 +13,9 @@ type num =
   | Sub of num * num
   | Mul of num * num
   | Div of num * num  (** private divisor: non-restoring circuit *)
-  | Div_pub of num * int  (** public divisor *)
+  | Div_pub of num * int
+      (** positive public divisor (evaluation raises [Invalid_argument]
+          otherwise): masked opening, O(1) rounds *)
   | If of pred * num * num  (** oblivious CASE WHEN (multiplexed) *)
 
 and pred =

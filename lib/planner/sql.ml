@@ -174,10 +174,13 @@ and parse_term st : Expr.num =
   while !looping do
     if accept_sym st "*" then lhs := Expr.Mul (!lhs, parse_factor st)
     else if accept_sym st "/" then
-      (* public divisors compile to the cheaper public-division circuit *)
+      (* public divisors compile to the cheaper public-division protocol *)
       lhs :=
         (match parse_factor st with
+        | Expr.Const 0 -> fail "division by zero"
         | Expr.Const d -> Expr.Div_pub (!lhs, d)
+        | Expr.Sub (Expr.Const 0, Expr.Const _) ->
+            fail "division by a negative constant"
         | e -> Expr.Div (!lhs, e))
     else looping := false
   done;

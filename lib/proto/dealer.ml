@@ -48,6 +48,38 @@ let edabits (ctx : Ctx.t) n : edabits =
   meter_preproc ctx ~vectors:(2 * ctx.nvec) ~n ~width:(2 * ctx.ell);
   { ed_arith = Share.share ctx Arith r; ed_bool = Share.share ctx Bool r }
 
+type divmask = {
+  dm_r : Share.shared;  (** r, arithmetic *)
+  dm_quot : Share.shared;  (** ⌊r/d⌋, arithmetic *)
+  dm_rem : Share.shared;  (** r mod d, boolean *)
+  dm_msb_b : Share.shared;  (** msb(r), boolean (LSB) *)
+  dm_msb_a : Share.shared;  (** msb(r), arithmetic 0/1 *)
+}
+
+(** Masks for division by the public constant [d] (Catrina–de Hoogh):
+    uniform ring elements [r] shared arithmetically, together with
+    ⌊r/d⌋ (arithmetic), r mod d (boolean) and the top bit msb(r) (both
+    ways), all read as unsigned in [0, 2^63). *)
+let divmask (ctx : Ctx.t) ~d n : divmask =
+  let r = Prg.words ctx.prg n in
+  let quot = Array.make n 0 and rem = Array.make n 0 in
+  Array.iteri
+    (fun i ri ->
+      let q, m = Ring.udivmod ri d in
+      quot.(i) <- q;
+      rem.(i) <- m)
+    r;
+  let msb = Array.map (fun ri -> Ring.bit ri (Ring.word_bits - 1)) r in
+  meter_preproc ctx ~vectors:ctx.nvec ~n
+    ~width:((3 * ctx.ell) + Ring.log2_ceil d + 1);
+  {
+    dm_r = Share.share ctx Arith r;
+    dm_quot = Share.share ctx Arith quot;
+    dm_rem = Share.share ctx Bool rem;
+    dm_msb_b = Share.share ctx Bool msb;
+    dm_msb_a = Share.share ctx Arith msb;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Packed flag-lane correlations. Same correlations as above, for the
    bit-packed single-bit representation: the dealer's randomness is drawn

@@ -24,6 +24,19 @@ val edabits : Ctx.t -> int -> edabits
 (** Random ring elements shared both arithmetically and booleanly — the
     correlation behind A2B conversion. *)
 
+type divmask = {
+  dm_r : Share.shared;  (** r, arithmetic *)
+  dm_quot : Share.shared;  (** ⌊r/d⌋, arithmetic *)
+  dm_rem : Share.shared;  (** r mod d, boolean *)
+  dm_msb_b : Share.shared;  (** msb(r), boolean (LSB) *)
+  dm_msb_a : Share.shared;  (** msb(r), arithmetic 0/1 *)
+}
+
+val divmask : Ctx.t -> d:int -> int -> divmask
+(** Masks for division by the public constant [d] (Catrina–de Hoogh):
+    uniform ring elements [r] with ⌊r/d⌋ (arithmetic), r mod d (boolean)
+    and msb(r) (both ways); drives {!Orq_circuits.Divide.div_pub}. *)
+
 type flag_triple = { fta : Share.flags; ftb : Share.flags; ftc : Share.flags }
 
 val beaver_flags : Ctx.t -> int -> flag_triple

@@ -43,6 +43,19 @@ let log2_ceil n =
   let rec go k p = if p >= n then k else go (k + 1) (p * 2) in
   if n <= 1 then 0 else go 0 1
 
+(** [udivmod u d] is [(⌊u/d⌋, u mod d)] for the ring element [u] read as an
+    unsigned integer in [0, 2^63) and a divisor [d >= 1]. *)
+let udivmod u d =
+  let u = Int64.logand (Int64.of_int u) Int64.max_int and d = Int64.of_int d in
+  (Int64.to_int (Int64.div u d), Int64.to_int (Int64.rem u d))
+
+(** [modulus_divmod d] is [(⌊2^63/d⌋, 2^63 mod d)] for [d >= 1], the
+    quotient as a ring element (so [d = 1] gives 0). *)
+let modulus_divmod d =
+  let d = Int64.of_int d in
+  ( Int64.to_int (Int64.unsigned_div Int64.min_int d),
+    Int64.to_int (Int64.unsigned_rem Int64.min_int d) )
+
 (** [next_pow2 n] is the smallest power of two [>= n] (and [>= 1]). *)
 let next_pow2 n = 1 lsl log2_ceil n
 

@@ -35,6 +35,14 @@ val popcount : int -> int
 val log2_ceil : int -> int
 (** [log2_ceil n] is the smallest [k] with [2^k >= n]; [log2_ceil 0 = 0]. *)
 
+val udivmod : int -> int -> int * int
+(** [udivmod u d] is [(⌊u/d⌋, u mod d)] for the ring element [u] read as an
+    unsigned integer in [0, 2^63) and a divisor [d >= 1]. *)
+
+val modulus_divmod : int -> int * int
+(** [modulus_divmod d] is [(⌊2^63/d⌋, 2^63 mod d)] for [d >= 1], the
+    quotient as a ring element (so [d = 1] gives 0). *)
+
 val next_pow2 : int -> int
 (** Smallest power of two [>= n] (and [>= 1]). *)
 

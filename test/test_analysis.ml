@@ -191,6 +191,26 @@ let test_costmodel_primitives () =
         [ (1, 16); (8, 33); (24, 100); (40, 7) ])
     Ctx.all_kinds
 
+let test_costmodel_div_pub () =
+  (* the closed form has no width argument: the same prediction must hold
+     for narrow and full-width dividends *)
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (w, n, d) ->
+          check_predicted
+            (Printf.sprintf "div_pub w=%d n=%d d=%d" w n d)
+            kind
+            (Costmodel.div_pub_events kind ~n ~d)
+            (fun ctx ->
+              let x =
+                Mpc.share_a ctx
+                  (Array.init n (fun i -> (i * 7919) land ((1 lsl w) - 1)))
+              in
+              ignore (Orq_circuits.Divide.div_pub ctx ~w x d)))
+        [ (8, 16, 1); (16, 33, 7); (36, 20, 100); (61, 20, 100); (46, 9, 365) ])
+    Ctx.all_kinds
+
 let test_costmodel_arith_mul () =
   List.iter
     (fun kind ->
@@ -268,6 +288,8 @@ let suite =
       test_costmodel_primitives;
     Alcotest.test_case "cost model: arithmetic mul" `Quick
       test_costmodel_arith_mul;
+    Alcotest.test_case "cost model: public division" `Quick
+      test_costmodel_div_pub;
     Alcotest.test_case "certifier: live queries" `Slow test_certify_queries;
     Alcotest.test_case "certifier: rejects shape leak" `Quick
       test_certify_catches_shape_leak;

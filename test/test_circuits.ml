@@ -1,5 +1,5 @@
 (* Tests for the oblivious circuit layer: comparisons, adders, mux,
-   conversions and the non-restoring division circuit — each checked against
+   conversions and both division protocols — each checked against
    plaintext semantics under all three protocols. *)
 
 open Orq_util
@@ -305,15 +305,87 @@ let test_div_qcheck =
             (Array.map2 (fun a b -> (a, b)) x d))
         kinds)
 
+(* Public-divisor division: the masked-opening protocol over arithmetic
+   sharings. The remainder x - d * q is recomputed locally from the shares. *)
+let div_pub_check ctx ~w ~d x =
+  let xs = Mpc.share_a ctx x in
+  let q = Divide.div_pub ctx ~w xs d in
+  let r = Mpc.sub xs (Mpc.mul_pub q d) in
+  (Share.reconstruct q, Share.reconstruct r)
+
 let test_div_pub () =
   for_all_kinds (fun ctx ->
-      let x = [| 1000; 12345; 77; 64 |] in
-      let d = [| 7; 100; 11; 64 |] in
-      let q, r = Divide.udiv_pub ctx ~w:16 (Mpc.share_b ctx x) d in
-      let expect_q = Array.map2 (fun a b -> a / b) x d in
-      let expect_r = Array.map2 (fun a b -> a mod b) x d in
-      Alcotest.(check vec) "pub quotients" expect_q (Share.reconstruct q);
-      Alcotest.(check vec) "pub remainders" expect_r (Share.reconstruct r))
+      let x = [| 1000; 12345; 77; 64; 0; 65535 |] in
+      List.iter
+        (fun d ->
+          let q, r = div_pub_check ctx ~w:16 ~d x in
+          Alcotest.(check vec) "pub quotients" (Array.map (fun v -> v / d) x) q;
+          Alcotest.(check vec) "pub remainders"
+            (Array.map (fun v -> v mod d) x) r)
+        [ 7; 100; 11; 64 ];
+      Alcotest.check_raises "zero divisor"
+        (Invalid_argument "Divide.div_pub: divisor must be positive")
+        (fun () -> ignore (div_pub_check ctx ~w:16 ~d:0 x)))
+
+let div_widths = [ 8; 16; 36; 46; 61 ]
+let div_divisors = [ 1; 2; 7; 64; 100; 365; (1 lsl 20) + 7 ]
+
+(* every x in [0, 2^w) must divide exactly: the edges 0, d - 1, d and
+   2^w - 1 (where they fit the width) plus the random draws *)
+let test_div_pub_qcheck =
+  QCheck.Test.make ~name:"public-divisor division" ~count:4
+    (QCheck.make QCheck.Gen.(array_size (return 9) (map (fun x -> x land max_int) int)))
+    (fun raw ->
+      List.for_all
+        (fun k ->
+          let ctx = Ctx.create ~seed:21 k in
+          List.for_all
+            (fun w ->
+              List.for_all
+                (fun d ->
+                  let top = Ring.mask w in
+                  let edges =
+                    List.filter (fun v -> v <= top) [ 0; d - 1; d; top ]
+                  in
+                  let x =
+                    Array.append (Array.of_list edges)
+                      (Array.map (fun v -> v land top) raw)
+                  in
+                  let q, r = div_pub_check ctx ~w ~d x in
+                  q = Array.map (fun v -> v / d) x
+                  && r = Array.map (fun v -> v mod d) x)
+                div_divisors)
+            div_widths)
+        kinds)
+
+(* online and preprocessing tallies of one division *)
+let div_pub_tallies kind ~w ~d x =
+  let ctx = Ctx.create ~seed:23 kind in
+  let xs = Mpc.share_a ctx x in
+  let on = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let pre = Orq_net.Comm.snapshot ctx.Ctx.preproc in
+  ignore (Divide.div_pub ctx ~w xs d);
+  ( Orq_net.Comm.since ctx.Ctx.comm on,
+    Orq_net.Comm.since ctx.Ctx.preproc pre )
+
+let test_div_pub_oblivious () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun d ->
+          let lo = Array.init 20 (fun i -> i) in
+          let hi = Array.init 20 (fun i -> Ring.mask 16 - (i * 977)) in
+          let a = div_pub_tallies kind ~w:16 ~d lo in
+          Alcotest.(check bool)
+            (Printf.sprintf "tallies independent of x (d=%d)" d)
+            true
+            (a = div_pub_tallies kind ~w:16 ~d hi);
+          let on61, _ = div_pub_tallies kind ~w:61 ~d lo in
+          Alcotest.(check int)
+            (Printf.sprintf "rounds at w=16 = rounds at w=61 (d=%d)" d)
+            (fst a).Orq_net.Comm.t_rounds on61.Orq_net.Comm.t_rounds)
+        div_divisors)
+    kinds
 
 let suite =
   [
@@ -340,6 +412,9 @@ let suite =
     Alcotest.test_case "division known cases" `Quick test_div_known;
     QCheck_alcotest.to_alcotest test_div_qcheck;
     Alcotest.test_case "division by public divisor" `Quick test_div_pub;
+    QCheck_alcotest.to_alcotest test_div_pub_qcheck;
+    Alcotest.test_case "public division transcript is shape-only" `Quick
+      test_div_pub_oblivious;
   ]
 
 let () = Alcotest.run "orq_circuits" [ ("circuits", suite) ]

@@ -124,6 +124,25 @@ let test_parse_errors () =
   expect_err "SELECT x FROM orders WHERE price !";
   expect_err "SELECT cust FROM customers JOIN orders ON zzz = qqq"
 
+let test_division_by_constant () =
+  let expect_err sql msg =
+    match run sql with
+    | exception Sql.Parse_error m -> Alcotest.(check string) sql msg m
+    | _ -> Alcotest.failf "expected parse error for %S" sql
+  in
+  expect_err "SELECT oid, price / 0 AS q FROM orders" "division by zero";
+  expect_err "SELECT oid, price / -4 AS q FROM orders"
+    "division by a negative constant";
+  (* plans built without the parser are refused at evaluation *)
+  let orders, _ = catalog (hm ()) "orders" in
+  List.iter
+    (fun d ->
+      Alcotest.check_raises
+        (Printf.sprintf "Div_pub by %d" d)
+        (Invalid_argument "Expr: Div_pub divisor must be positive")
+        (fun () -> ignore (Expr.eval_col orders Expr.(Div_pub (col "price", d)))))
+    [ 0; -4 ]
+
 let test_unknown_table () =
   (* a catalog miss (raw [Not_found]) must surface as a clean
      [Parse_error] so servers can return an error frame *)
@@ -167,6 +186,8 @@ let suite =
     Alcotest.test_case "min/max/avg" `Quick test_min_max_avg;
     Alcotest.test_case "many-to-many via SQL" `Quick test_many_to_many_from_sql;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "division by a constant <= 0" `Quick
+      test_division_by_constant;
     Alcotest.test_case "unknown table" `Quick test_unknown_table;
     Alcotest.test_case "sql vs plaintext" `Quick test_vs_plaintext;
   ]
