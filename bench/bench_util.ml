@@ -16,7 +16,9 @@ type measurement = {
       (** high-water mark of resident share-chunk bytes during the run
           (0 unless out-of-core streaming is on) *)
   spills : int;  (** chunk spills to disk during the run *)
-  rss_peak_kb : int;  (** process VmHWM after the run, KiB *)
+  rss_peak_kb : int option;
+      (** peak resident set of the process during the run, KiB (VmHWM
+          reset before the run); [None] where the reset is unavailable *)
 }
 
 (** Run [f] under [ctx], measuring wall time and online/preprocessing
@@ -25,6 +27,7 @@ let measure (ctx : Ctx.t) (f : unit -> 'a) : 'a * measurement =
   let b_on = Comm.snapshot ctx.Ctx.comm in
   let b_pre = Comm.snapshot ctx.Ctx.preproc in
   Orq_util.Chunkvec.reset_peak ();
+  let rss_reset = Orq_util.Chunkvec.reset_rss_peak () in
   let m0 = (Orq_util.Chunkvec.stats ()).Orq_util.Chunkvec.st_spills in
   let t0 = Unix.gettimeofday () in
   let x = f () in
@@ -37,7 +40,10 @@ let measure (ctx : Ctx.t) (f : unit -> 'a) : 'a * measurement =
       parties = ctx.Ctx.parties;
       peak_chunk_bytes = Orq_util.Chunkvec.peak_live_bytes ();
       spills = (Orq_util.Chunkvec.stats ()).Orq_util.Chunkvec.st_spills - m0;
-      rss_peak_kb = Orq_util.Chunkvec.rss_peak_kb ();
+      rss_peak_kb =
+        (match Orq_util.Chunkvec.rss_peak_kb () with
+        | kb when rss_reset && kb > 0 -> Some kb
+        | _ -> None);
     } )
 
 (** Estimated end-to-end time in a network profile: measured compute plus

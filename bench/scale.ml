@@ -93,7 +93,7 @@ type big_result = {
   bg_budget_peak : int;
   bg_spills : int;
   bg_wall_s : float;
-  bg_rss_peak_kb : int;
+  bg_rss_peak_kb : int option;
   bg_tally_match : bool;
   bg_ok : bool;
 }
@@ -300,7 +300,10 @@ let run ~quick () =
                ("budget_bytes", Int big.bg_budget);
                ("budget_peak_bytes", Int big.bg_budget_peak);
                ("spills", Int big.bg_spills); ("wall_s", fixed 3 big.bg_wall_s);
-               ("rss_peak_kb", Int big.bg_rss_peak_kb);
+               ( "rss_peak_kb",
+                 match big.bg_rss_peak_kb with
+                 | Some kb -> Int kb
+                 | None -> Null );
                ("tally_match", Bool big.bg_tally_match);
                ("validated", Bool big.bg_ok); ("pass", Bool big_pass) ] );
          ("ladder", List (List.map ladder_row ladder));

@@ -40,13 +40,17 @@ let emit_json ~pass items =
 
 let run_lint ~expect_violations ~json paths =
   let paths = if paths = [] then [ "lib" ] else paths in
-  let findings =
-    try Lint.lint_paths paths
+  let files, findings =
+    try
+      let files = List.concat_map Lint.ml_files paths in
+      (files, List.concat_map Lint.lint_file files)
     with Sys_error e ->
       say "orq_lint: %s" e;
       exit 2
   in
   let violations = Lint.violations findings in
+  let stale = Lint.stale_entries ~files findings in
+  let clean = violations = [] && stale = [] in
   let leaky = Lint.leaky_findings findings in
   let allowed =
     List.filter
@@ -79,8 +83,16 @@ let run_lint ~expect_violations ~json paths =
            json_finding ~pass:"leakage" ~file:f.Lint.f_file ~line:f.Lint.f_line
              ~rule:(Declass.rule_label f.Lint.f_rule)
              ~site:f.Lint.f_site ~detail:("uses " ^ f.Lint.f_callee))
-         violations);
-    exit (if violations = [] then 0 else 1)
+         violations
+      @ List.map
+          (fun (file, (e : Declass.entry)) ->
+            json_finding ~pass:"leakage" ~file ~line:0 ~rule:"stale"
+              ~site:e.Declass.d_site
+              ~detail:
+                (Printf.sprintf "%s entry for %s matches no site"
+                   (Declass.rule_label e.Declass.d_rule) e.Declass.d_callee))
+          stale);
+    exit (if clean then 0 else 1)
   end
   else begin
     List.iter
@@ -91,12 +103,18 @@ let run_lint ~expect_violations ~json paths =
         | _ -> ())
       leaky;
     List.iter (fun f -> say "VIOLATION: %a" Lint.pp_finding f) violations;
+    List.iter
+      (fun (file, (e : Declass.entry)) ->
+        say "STALE: %s: [%s] allowlist entry %s uses %s matches no site" file
+          (Declass.rule_label e.Declass.d_rule)
+          e.Declass.d_site e.Declass.d_callee)
+      stale;
     say
       "lint: %d findings — %d audited declassifications, %d leaky-by-design \
-       baseline sites, %d violations"
+       baseline sites, %d violations, %d stale allowlist entries"
       (List.length findings) (List.length allowed) (List.length leaky)
-      (List.length violations);
-    exit (if violations = [] then 0 else 1)
+      (List.length violations) (List.length stale);
+    exit (if clean then 0 else 1)
   end
 
 (* ---------------- concurrency lint ---------------- *)

@@ -75,19 +75,14 @@ let all : entry list =
        above; every row runs the same interactive steps either way, so the \
        transcript depends only on (protocol, n, d)";
     (* --- permutation protocols: openings behind a fresh random shuffle --- *)
-    ok "Permops.apply_elementwise" Declass "open_"
+    ok "Permops.apply_elementwise_table_c" Declass "open_"
       "Protocol 5: opens rho routed through a fresh random sharded \
        permutation pi — the opened vector is rho o pi^{-1}, uniform for \
-       uniform pi (Appendix A.4)";
+       uniform pi (Appendix A.4); one opening however many data columns \
+       move, chunked or not";
     ok "Permops.apply_elementwise_flags" Declass "open_"
-      "packed-flag Protocol 5; identical opening to apply_elementwise";
-    ok "Permops.apply_elementwise_table" Declass "open_"
-      "multi-column Protocol 5; the single opened vector is uniform as in \
-       apply_elementwise";
-    ok "Permops.apply_elementwise_table_c" Declass "open_"
-      "chunked multi-column Protocol 5; rho's shuffle-then-open is the \
-       same single monolithic opening as apply_elementwise_table — only \
-       the data columns stream chunk-at-a-time";
+      "packed-flag Protocol 5; identical opening to \
+       apply_elementwise_table_c";
     ok "Permops.compose" Declass "open_"
       "Protocol 6: opens sigma behind a fresh sharded permutation; uniform \
        (Appendix A.4)";

@@ -12,11 +12,13 @@
     tracked per top-level binding as a syntactic taint: names let-bound (or
     [:=]-assigned) from an expression containing an opening call are
     tainted, taint propagates through further bindings that mention a
-    tainted name, and control-flow scrutinees mentioning a tainted name (or
-    containing an opening call directly) are flagged. The analysis is
-    intentionally over- rather than under-approximate within a binding, but
-    it does not follow values through function parameters — the allowlist
-    documents the audited residue.
+    tainted name and into the parameters of a [fun] literal applied next
+    to a tainted argument ([Array.iteri (fun i b -> ...) opened]), and
+    control-flow scrutinees mentioning a tainted name (or containing an
+    opening call directly) are flagged. The analysis is intentionally
+    over- rather than under-approximate within a binding, but it does not
+    follow values into named functions — the allowlist documents the
+    audited residue.
 
     {b Rule 3 (parallel)} — interactive [Mpc] primitives must not be called
     inside [Parallel] worker lambdas: workers race on the shared meter, so
@@ -25,7 +27,11 @@
     its own channel schedule. No allowlist for this rule.
 
     Findings against a [leaky:] allowlist entry are legal only under
-    [lib/baselines/] and are reported separately instead of failing. *)
+    [lib/baselines/] and are reported separately instead of failing.
+
+    The allowlist may not outlive the code it audits: an entry whose
+    module was linted but that no finding resolves to is {e stale} and is
+    reported as a violation too. *)
 
 open Parsetree
 
@@ -156,6 +162,12 @@ let mentions_tainted taint e =
 let tainted_source taint e =
   exists_ident is_open_ident e || mentions_tainted taint e
 
+(* Parameter names of a [fun p1 p2 ... -> body] literal. *)
+let rec fun_params (e : expression) =
+  match e.pexp_desc with
+  | Pexp_fun (_, _, p, body) -> pat_vars p @ fun_params body
+  | _ -> []
+
 (* One pass collecting newly tainted names from let-bindings and [:=]. *)
 let taint_pass (body : expression) (taint : Sset.t) : Sset.t =
   let taint = ref taint in
@@ -179,6 +191,16 @@ let taint_pass (body : expression) (taint : Sset.t) : Sset.t =
               )
             when tainted_source !taint rhs ->
               taint := Sset.add (last_of l) !taint
+          | Pexp_apply (_, args)
+            when List.exists (fun (_, a) -> tainted_source !taint a) args ->
+              (* a callback applied next to a tainted argument (iter, map,
+                 fold, ...) may receive its elements as parameters *)
+              List.iter
+                (fun (_, a) ->
+                  List.iter
+                    (fun v -> taint := Sset.add v !taint)
+                    (fun_params a))
+                args
           | _ -> ());
           Ast_iterator.default_iterator.expr self ex);
     }
@@ -193,10 +215,11 @@ let rec taint_fixpoint body taint fuel =
 
 (* ---------------- the walker ---------------- *)
 
+let module_of_file file =
+  String.capitalize_ascii Filename.(remove_extension (basename file))
+
 let lint_structure ~file (str : structure) : finding list =
-  let modname =
-    String.capitalize_ascii Filename.(remove_extension (basename file))
-  in
+  let modname = module_of_file file in
   let findings = ref [] in
   let add rule ~loc ~site ~callee =
     findings :=
@@ -311,3 +334,22 @@ let rec ml_files path =
 
 let lint_paths paths : finding list =
   List.concat_map (fun p -> List.concat_map lint_file (ml_files p)) paths
+
+(* Allowlist entries of the linted modules that no finding resolves to,
+   each with the file its module was linted from. *)
+let stale_entries ~files (fs : finding list) : (string * Declass.entry) list =
+  let used =
+    List.filter_map
+      (fun f -> Declass.find ~site:f.f_site ~rule:f.f_rule ~callee:f.f_callee)
+      fs
+  in
+  List.concat_map
+    (fun file ->
+      let m = module_of_file file in
+      List.filter_map
+        (fun (e : Declass.entry) ->
+          let site_module = List.hd (String.split_on_char '.' e.d_site) in
+          if site_module = m && not (List.memq e used) then Some (file, e)
+          else None)
+        Declass.all)
+    files

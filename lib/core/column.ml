@@ -34,9 +34,6 @@ let enc c =
 let of_plaintext (ctx : Ctx.t) ~width (values : int array) : t =
   { repr = Live (Share.share ctx Bool values); width; signed = false }
 
-let of_public (ctx : Ctx.t) ~width (values : int array) : t =
-  { repr = Live (Share.public_vec ctx Bool values); width; signed = false }
-
 let of_shared ?(signed = false) ~width data : t =
   { repr = Live data; width; signed }
 
@@ -61,8 +58,6 @@ let with_data c s = { c with repr = Live s }
 let chunked c =
   match c.repr with Parked ck -> ck | Live s -> Share.wrap s
 
-let is_parked c = match c.repr with Parked _ -> true | Live _ -> false
-
 (** Move a live column into budget-managed (evictable) chunks in place. *)
 let park c =
   match c.repr with
@@ -85,11 +80,6 @@ let reconstruct c =
   match c.repr with
   | Live s -> Share.reconstruct s
   | Parked ck -> Share.reconstruct_c ck
-
-let gather c idx =
-  match c.repr with
-  | Live s -> { c with repr = Live (Share.gather s idx) }
-  | Parked ck -> { c with repr = Parked (Share.gather_c ck idx) }
 
 let sub_range c pos len =
   match c.repr with

@@ -18,7 +18,6 @@ type t = { mutable repr : repr; width : int; signed : bool }
 val length : t -> int
 val enc : t -> Share.enc
 val of_plaintext : Ctx.t -> width:int -> int array -> t
-val of_public : Ctx.t -> width:int -> int array -> t
 val of_shared : ?signed:bool -> width:int -> Share.shared -> t
 val of_chunked : ?signed:bool -> width:int -> Share.chunked -> t
 
@@ -31,8 +30,6 @@ val with_data : t -> Share.shared -> t
 val chunked : t -> Share.chunked
 (** Chunked view; a live column becomes one zero-copy untracked chunk. *)
 
-val is_parked : t -> bool
-
 val park : t -> unit
 (** Move a live payload into budget-managed chunks in place. *)
 
@@ -43,6 +40,5 @@ val as_arith : Ctx.t -> t -> Share.shared
 (** Arithmetic view, honouring the column's signedness. *)
 
 val reconstruct : t -> Orq_util.Vec.t
-val gather : t -> int array -> t
 val sub_range : t -> int -> int -> t
 val append : t -> t -> t

@@ -137,9 +137,9 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
   in
   (* --- Step 2: sort on K_s = (V_LR, keys, Tid) and mark group heads --- *)
   let sort_keys =
-    ((v_lr, 1, Tablesort.Asc)
-    :: List.map (fun (k, w) -> (k, w, Tablesort.Asc)) keys0)
-    @ [ (tid, 1, Tablesort.Asc) ]
+    List.map
+      (fun (k, w) -> (Share.wrap k, w, Tablesort.Asc))
+      (((v_lr, 1) :: keys0) @ [ (tid, 1) ])
   in
   let payload =
     List.map (fun (_, d, _) -> d) l_cols
@@ -147,8 +147,10 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
     @ List.map snd agg_cols
   in
   let sorted_keys, sorted_payload =
-    Tablesort.sort_cols ctx ~keys:sort_keys payload
+    Tablesort.sort_cols ctx ~keys:sort_keys (List.map Share.wrap payload)
   in
+  let sorted_keys = List.map Share.unpark sorted_keys in
+  let sorted_payload = List.map Share.unpark sorted_payload in
   let v_lr', keys', tid' =
     match sorted_keys with
     | v :: rest ->
@@ -202,14 +204,14 @@ let finalize (ctx : Ctx.t) ~name ~(valid : Share.shared)
     let data_cols = List.map (fun (_, c) -> Column.data c) result.Table.cols in
     let sorted_v, sorted_data =
       Tablesort.sort_cols ctx
-        ~keys:[ (result.Table.valid, 1, Tablesort.Desc) ]
-        data_cols
+        ~keys:[ (Share.wrap result.Table.valid, 1, Tablesort.Desc) ]
+        (List.map Share.wrap data_cols)
     in
-    let v = List.hd sorted_v in
+    let v = Share.unpark (List.hd sorted_v) in
     let cols =
       List.map2
         (fun (name, c) d ->
-          (name, Column.with_data c (Share.sub_range d 0 bound)))
+          (name, Column.with_data c (Share.sub_range (Share.unpark d) 0 bound)))
         result.Table.cols sorted_data
     in
     Table.of_columns ctx result.Table.name

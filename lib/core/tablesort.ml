@@ -18,45 +18,11 @@ let to_dir = function Asc -> Sortwrap.Asc | Desc -> Sortwrap.Desc
 
 (** [sort_cols ctx ~keys others] sorts rows lexicographically by the key
     columns (each with width and direction); returns (sorted keys, sorted
-    others). *)
-let sort_cols (ctx : Ctx.t) ~(keys : (Share.shared * int * order) list)
-    (others : Share.shared list) : Share.shared list * Share.shared list =
-  match keys with
-  | [] -> invalid_arg "Tablesort.sort_cols: no keys"
-  | [ (k, w, o) ] ->
-      let k', others' = Sortwrap.sort ctx ~dir:(to_dir o) ~w k others in
-      ([ k' ], others')
-  | _ ->
-      (* compose sorting permutations from the least-significant key *)
-      let pi = ref None in
-      List.iter
-        (fun (k, w, o) ->
-          let t =
-            match !pi with
-            | None -> k
-            | Some p -> Permops.apply_elementwise ~width:w ctx k p
-          in
-          let _, _, sigma =
-            Sortwrap.sort_with_perm ctx ~dir:(to_dir o) ~w t []
-          in
-          pi :=
-            Some
-              (match !pi with
-              | None -> sigma
-              | Some p -> Permops.compose ctx p sigma))
-        (List.rev keys);
-      let p = Option.get !pi in
-      let key_cols = List.map (fun (k, _, _) -> k) keys in
-      let nk = List.length key_cols in
-      let all = Permops.apply_elementwise_table ctx (key_cols @ others) p in
-      (Orq_sort.Quicksort.take nk all, Orq_sort.Quicksort.drop nk all)
-
-(** Chunked {!sort_cols}: key/other columns stream chunk-at-a-time through
-    the base sort and the final table-wide permutation application. The
-    multi-key sigma-extraction pipeline works one monolithic key column at
-    a time (a bounded single-column working set); wire cost is identical
-    to {!sort_cols} in both shapes. *)
-let sort_cols_c (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
+    others). Columns stream chunk-at-a-time through the base sort and the
+    final table-wide permutation application; the multi-key
+    sigma-extraction pipeline works one monolithic key column at a time (a
+    bounded single-column working set). *)
+let sort_cols (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
     (others : Share.chunked list) : Share.chunked list * Share.chunked list =
   match keys with
   | [] -> invalid_arg "Tablesort.sort_cols: no keys"
@@ -129,7 +95,7 @@ let sort ?(lead : (Share.shared * int * order) list = []) (t : Table.t)
       t.Table.cols
   in
   let sorted_keys, sorted_others =
-    sort_cols_c ctx ~keys (Share.wrap t.Table.valid :: List.map snd others)
+    sort_cols ctx ~keys (Share.wrap t.Table.valid :: List.map snd others)
   in
   let nlead = List.length lead in
   let sorted_named = Orq_sort.Quicksort.drop nlead sorted_keys in

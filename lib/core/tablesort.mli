@@ -10,16 +10,12 @@ open Orq_proto
 type order = Asc | Desc
 
 val sort_cols :
-  Ctx.t -> keys:(Share.shared * int * order) list -> Share.shared list ->
-  Share.shared list * Share.shared list
-(** Sort rows lexicographically by the key columns (width and direction
-    each); returns (sorted keys, sorted others). *)
-
-val sort_cols_c :
   Ctx.t -> keys:(Share.chunked * int * order) list -> Share.chunked list ->
   Share.chunked list * Share.chunked list
-(** Chunked {!sort_cols}: columns stream chunk-at-a-time; wire cost
-    identical. *)
+(** Sort rows lexicographically by the key columns (width and direction
+    each); returns (sorted keys, sorted others). Columns stream
+    chunk-at-a-time; {!Share.wrap}ped monolithic columns are the
+    single-chunk case. *)
 
 val sort :
   ?lead:(Share.shared * int * order) list -> Table.t ->

@@ -599,19 +599,13 @@ module Codec = struct
   let cursor body = { buf = body; pos = 0 }
   let put_u8 = put_u8
   let put_u16 = put_u16
-  let put_u32 = put_u32
   let put_i64 = put_i64
   let put_f64 = put_f64
-  let put_bool = put_bool
   let put_string = put_string
-  let put_list = put_list
   let get_u8 = get_u8
   let get_u16 = get_u16
-  let get_u32 = get_u32
   let get_i64 = get_i64
   let get_f64 = get_f64
-  let get_bool = get_bool
   let get_string = get_string
-  let get_list = get_list
   let finish = finish
 end

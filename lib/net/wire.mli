@@ -9,7 +9,7 @@
 
     written to and read from a (Unix-domain) socket. Integers are
     big-endian; values are 64-bit two's complement; strings and lists are
-    length-prefixed. Frames larger than {!max_frame} are rejected before
+    length-prefixed. Frames larger than 16 MiB are rejected before
     allocation so a malformed or hostile length prefix cannot OOM the
     server. *)
 
@@ -17,9 +17,6 @@ exception Wire_error of string
 (** Malformed input: oversized frame, truncated stream mid-frame, unknown
     tag, or payload that does not decode. Clean EOF at a frame boundary is
     not an error — the [recv_*] functions return [None] there. *)
-
-val max_frame : int
-(** Maximum accepted frame body size in bytes (16 MiB). *)
 
 val protocol_version : int
 (** Wire-protocol version carried in {!request.Hello}. The server rejects
@@ -174,7 +171,6 @@ val write_frame : Unix.file_descr -> bytes -> unit
 val read_frame : Unix.file_descr -> bytes option
 
 val encode_request : request -> bytes
-val decode_request : bytes -> request
 
 val encode_response : response -> bytes
 (** The canonical encoding — what the party runtime digests for its
@@ -193,20 +189,14 @@ module Codec : sig
   val cursor : bytes -> cursor
   val put_u8 : Buffer.t -> int -> unit
   val put_u16 : Buffer.t -> int -> unit
-  val put_u32 : Buffer.t -> int -> unit
   val put_i64 : Buffer.t -> int -> unit
   val put_f64 : Buffer.t -> float -> unit
-  val put_bool : Buffer.t -> bool -> unit
   val put_string : Buffer.t -> string -> unit
-  val put_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
   val get_u8 : cursor -> int
   val get_u16 : cursor -> int
-  val get_u32 : cursor -> int
   val get_i64 : cursor -> int
   val get_f64 : cursor -> float
-  val get_bool : cursor -> bool
   val get_string : cursor -> string
-  val get_list : cursor -> (cursor -> 'a) -> 'a list
   val finish : cursor -> unit
   (** Reject trailing bytes after a fully-decoded body. *)
 end

@@ -16,10 +16,6 @@ type t = Orq_net.Comm.channel = {
 val attach : Ctx.t -> t -> unit
 (** Install the channel on the online meter ([ctx.comm]). *)
 
-val detach : Ctx.t -> unit
-
-val attached : Ctx.t -> bool
-
 val with_channel : Ctx.t -> t -> (unit -> 'a) -> 'a
 (** Run a thunk with the channel installed, detaching on exit
     (exception-safe). @raise Invalid_argument if one is already attached —

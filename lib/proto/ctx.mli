@@ -11,10 +11,6 @@ val all_kinds : kind list
 val kind_label : kind -> string
 val parties_of : kind -> int
 
-val nvec_of : kind -> int
-(** Number of share vectors in the sharing of one secret (2/3/4); in the
-    replicated schemes each party holds a strict subset of them. *)
-
 type tamper = party:int -> op:string -> int option
 (** Fault injection for the maliciously secure protocol: return
     [Some delta] to corrupt the named party's contribution in the named

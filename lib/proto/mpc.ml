@@ -15,8 +15,6 @@ module Comm = Orq_net.Comm
 
 type shared = Share.shared
 
-let reconstruct = Share.reconstruct
-
 (* ------------------------------------------------------------------ *)
 (* Cross-lane round fusion toggle                                      *)
 (* ------------------------------------------------------------------ *)
@@ -106,8 +104,6 @@ let fuse_rounds (ctx : Ctx.t) (thunks : (unit -> 'a) array) : 'a array =
 let share_a ctx x = Share.share ctx Arith x
 let share_b ctx x = Share.share ctx Bool x
 let public_a ctx n c = Share.public ctx Arith n c
-let public_b ctx n c = Share.public ctx Bool n c
-let public_a_vec ctx x = Share.public_vec ctx Arith x
 
 (* ------------------------------------------------------------------ *)
 (* Local linear operations                                             *)
@@ -175,13 +171,6 @@ let rshift a k =
 
 (** Bitwise NOT over the full word (circuits mask to their logical width). *)
 let bnot a = xor_pub a Ring.ones
-
-(** Isolate bit [k] of each element into the LSB — the fused form of
-    [and_mask (rshift a k) 1], one pass per share vector (linear over
-    GF(2): both shift and mask are). Radixsort's bit extraction. *)
-let extract_bit a k =
-  Share.check_enc Bool a;
-  Share.map_vectors (fun vk -> Vec.bit_extract vk k) a
 
 (** Replicate the LSB of each element across the whole word — a linear
     operation per share vector (each output bit equals the input LSB), used
@@ -606,8 +595,8 @@ let bnot_f (a : Share.flags) : Share.flags =
   }
 
 (** Extract bit [k] of each element of a boolean sharing straight into
-    packed flag lanes — the fused radix-digit extraction ({!extract_bit}
-    composed with {!Share.pack_flags}, one pass, no 0/1 intermediate). *)
+    packed flag lanes — the fused radix-digit extraction (shift, mask and
+    {!Share.pack_flags} in one pass, no 0/1 intermediate). *)
 let extract_bit_f (a : shared) k : Share.flags =
   Share.check_enc Bool a;
   { Share.fv = Array.map (fun vk -> Bits.pack_bit vk k) a.Share.v }

@@ -11,8 +11,6 @@
 
 type shared = Share.shared
 
-val reconstruct : shared -> Orq_util.Vec.t
-
 (** {2 Cross-lane round fusion}
 
     The [_many] primitives execute k independent interactive operations as
@@ -49,8 +47,6 @@ val fuse_rounds : Ctx.t -> (unit -> 'a) array -> 'a array
 val share_a : Ctx.t -> Orq_util.Vec.t -> shared
 val share_b : Ctx.t -> Orq_util.Vec.t -> shared
 val public_a : Ctx.t -> int -> int -> shared
-val public_b : Ctx.t -> int -> int -> shared
-val public_a_vec : Ctx.t -> Orq_util.Vec.t -> shared
 
 (** {2 Local linear operations} *)
 
@@ -80,11 +76,6 @@ val rshift : shared -> int -> shared
 
 val bnot : shared -> shared
 (** Bitwise NOT over the full word (circuits mask to their width). *)
-
-val extract_bit : shared -> int -> shared
-(** Isolate bit [k] of each element into the LSB — fused
-    [and_mask (rshift a k) 1] in one pass per share vector (linear over
-    GF(2)). *)
 
 val extend_bit : shared -> shared
 (** Replicate each element's LSB across the whole word — linear per share
@@ -149,7 +140,7 @@ val bnot_f : Share.flags -> Share.flags
 
 val extract_bit_f : shared -> int -> Share.flags
 (** Bit [k] of each element of a boolean sharing, extracted straight into
-    packed lanes — fused {!extract_bit} + {!Share.pack_flags}. *)
+    packed lanes — one fused pass, no 0/1 word intermediate. *)
 
 val band_f : Ctx.t -> Share.flags -> Share.flags -> Share.flags
 (** Secure AND over packed flags: one round, width-1 element charges,
@@ -186,10 +177,6 @@ val band1 : Ctx.t -> shared -> shared -> shared
 val bor1 : Ctx.t -> shared -> shared -> shared
 
 (** {2 Resharing and reductions} *)
-
-val zero_sharing : Ctx.t -> Share.enc -> int -> Orq_util.Vec.t array
-(** Fresh vectors summing (or xoring) to zero — the rerandomization noise
-    real protocols derive from pairwise PRG seeds. *)
 
 val reshare_unmetered : Ctx.t -> shared -> shared
 (** Rerandomize a sharing without changing the secret; traffic is metered

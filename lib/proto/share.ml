@@ -100,8 +100,6 @@ let map3_vectors f a b c =
   check_same_len a c;
   { enc = a.enc; v = Array.init (nvec a) (fun k -> f a.v.(k) b.v.(k) c.v.(k)) }
 
-let copy s = map_vectors Vec.copy s
-
 (** Concatenate two shared vectors of the same encoding (used to batch
     independent secure operations into a single round). *)
 let append a b =
@@ -161,8 +159,6 @@ let gather s idx = { s with v = Array.map (fun vk -> Vec.gather vk idx) s.v }
 
 let scatter s idx = { s with v = Array.map (fun vk -> Vec.scatter vk idx) s.v }
 
-let rev s = { s with v = Array.map Vec.rev s.v }
-
 (* ------------------------------------------------------------------ *)
 (* Packed single-bit sharings (flag lanes)                             *)
 (* ------------------------------------------------------------------ *)
@@ -219,16 +215,6 @@ let share_flags (ctx : Ctx.t) (x : Bits.t) : flags =
   fv.(0) <- acc;
   { fv }
 
-let public_flags (ctx : Ctx.t) (x : Bits.t) : flags =
-  {
-    fv =
-      Array.init ctx.nvec (fun k ->
-          if k = 0 then Bits.copy x else Bits.create (Bits.length x));
-  }
-
-let flags_append a b =
-  { fv = Array.init (flags_nvec a) (fun k -> Bits.append a.fv.(k) b.fv.(k)) }
-
 let flags_concat_many (fs : flags array) : flags =
   match Array.length fs with
   | 0 -> invalid_arg "Share.flags_concat_many: empty"
@@ -263,10 +249,8 @@ let update_rows (dst : shared) (idx : int array) (src : shared) : shared =
 type chunked = { cenc : enc; cn : int; cv : Chunkvec.t array }
 
 let chunked_length c = c.cn
-let chunked_nvec c = Array.length c.cv
 let chunked_nchunks c = if c.cn = 0 then 0 else Chunkvec.nchunks c.cv.(0)
 let chunked_tracked c = c.cn > 0 && Chunkvec.tracked c.cv.(0)
-let chunked_chunk_len c i = Chunkvec.chunk_len c.cv.(0) i
 let chunked_chunk_base c i = Chunkvec.chunk_base c.cv.(0) i
 
 let check_enc_c e c =

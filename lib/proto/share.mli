@@ -13,12 +13,9 @@
 
 type enc = Arith | Bool
 
-val enc_label : enc -> string
-
 type shared = { enc : enc; v : Orq_util.Vec.t array }
 
 val length : shared -> int
-val nvec : shared -> int
 val enc : shared -> enc
 val check_same_len : shared -> shared -> unit
 val check_enc : enc -> shared -> unit
@@ -47,8 +44,6 @@ val map3_vectors :
 (** Combine three sharings per share vector — used to drive fused kernels
     such as {!Orq_util.Vec.xor3} and {!Orq_util.Vec.add_sub}. *)
 
-val copy : shared -> shared
-
 val append : shared -> shared -> shared
 (** Concatenate two shared vectors of the same encoding (used to batch
     independent secure operations into a single round). *)
@@ -71,7 +66,6 @@ val gather : shared -> int array -> shared
     shuffled comparison. *)
 
 val scatter : shared -> int array -> shared
-val rev : shared -> shared
 
 val update_rows : shared -> int array -> shared -> shared
 (** [update_rows dst idx src]: [dst] with row [idx.(t)] replaced by row
@@ -108,8 +102,6 @@ val reconstruct_flags : flags -> Orq_util.Bits.t
 val share_flags : Ctx.t -> Orq_util.Bits.t -> flags
 (** Secret-share a packed bit vector with per-word mask draws. *)
 
-val public_flags : Ctx.t -> Orq_util.Bits.t -> flags
-val flags_append : flags -> flags -> flags
 val flags_concat_many : flags array -> flags
 val flags_scatter : flags -> int array -> flags
 
@@ -126,11 +118,8 @@ val flags_scatter : flags -> int array -> flags
 type chunked = { cenc : enc; cn : int; cv : Orq_util.Chunkvec.t array }
 
 val chunked_length : chunked -> int
-val chunked_nvec : chunked -> int
 val chunked_nchunks : chunked -> int
 val chunked_tracked : chunked -> bool
-val chunked_chunk_len : chunked -> int -> int
-val chunked_chunk_base : chunked -> int -> int
 val check_enc_c : enc -> chunked -> unit
 
 val wrap : shared -> chunked

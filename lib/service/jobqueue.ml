@@ -168,7 +168,6 @@ let finish t =
 let wake t = with_lock t (fun () -> Condition.broadcast t.nonempty)
 
 let in_flight t = with_lock t (fun () -> depth_unlocked t + t.running)
-let depth t = with_lock t (fun () -> depth_unlocked t)
 
 let counts t =
   with_lock t (fun () ->

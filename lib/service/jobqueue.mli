@@ -24,9 +24,6 @@
 
 type prio = High | Normal | Low
 
-val prio_index : prio -> int
-(** [High] = 0, [Normal] = 1, [Low] = 2 (the wire encoding). *)
-
 val prio_of_int : int -> prio option
 val prio_label : prio -> string
 
@@ -67,9 +64,6 @@ val wake : 'a t -> unit
 
 val in_flight : 'a t -> int
 (** Queued + executing jobs (admission-control view). *)
-
-val depth : 'a t -> int
-(** Queued (not yet executing) jobs. *)
 
 val counts : 'a t -> counts
 

@@ -13,26 +13,9 @@ open Orq_proto
 
 let perm_width (ctx : Ctx.t) = ctx.perm_bits
 
-(** Protocol 4: oblivious shuffle — generate and apply a random sharded
-    permutation. *)
-let shuffle ?width (ctx : Ctx.t) (x : Share.shared) : Share.shared =
-  Ctx.with_label ctx "shuffle" @@ fun () ->
-  let p = Permmgr.gen ctx (Share.length x) in
-  Shardedperm.apply ?width ctx x p
-
-(** Shuffle several columns under one common permutation. *)
-let shuffle_table ?width (ctx : Ctx.t) (cols : Share.shared list) :
-    Share.shared list =
-  match cols with
-  | [] -> []
-  | c :: _ ->
-      Ctx.with_label ctx "shuffle" @@ fun () ->
-      let p = Permmgr.gen ctx (Share.length c) in
-      Shardedperm.apply_table ?width ctx cols p
-
-(** Chunked Protocol 4 over a table: columns stream chunk-at-a-time
-    through the sharded application; metering identical to
-    {!shuffle_table}. *)
+(** Protocol 4, the oblivious shuffle, over a table: generate one random
+    sharded permutation and apply it to every column, streaming
+    chunk-at-a-time. *)
 let shuffle_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list) :
     Share.chunked list =
   match cols with
@@ -42,24 +25,54 @@ let shuffle_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list) :
       let p = Permmgr.gen ctx (Share.chunked_length c) in
       Shardedperm.apply_table_c ?width ctx cols p
 
-(** Protocol 5: apply a secret elementwise permutation [rho] to [x]. The
-    two sharded applications act on independent inputs under independent
-    permutations, so their rounds are fused (their traffic is untouched). *)
+let shuffle_table ?width (ctx : Ctx.t) (cols : Share.shared list) =
+  List.map Share.unpark (shuffle_table_c ?width ctx (List.map Share.wrap cols))
+
+let shuffle ?width ctx x = List.hd (shuffle_table ?width ctx [ x ])
+
+(** Protocol 5 over a table: several columns move under the same secret
+    elementwise permutation [rho], paying the shuffle of [rho] and its
+    opening once. The data columns stream chunk-at-a-time (sharded
+    application and final scatter); [rho] itself stays monolithic — it is
+    a single index column. The two sharded applications act on independent
+    inputs under independent permutations, so their rounds are fused
+    (their traffic is untouched). *)
+let apply_elementwise_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list)
+    (rho : Share.shared) : Share.chunked list =
+  match cols with
+  | [] -> []
+  | c0 :: _ ->
+      Ctx.with_label ctx "applyperm" @@ fun () ->
+      let n = Share.chunked_length c0 in
+      if Share.length rho <> n then invalid_arg "apply_elementwise: length";
+      let p1, p2 = Permmgr.gen_pair ctx n in
+      let pair =
+        Mpc.fuse_rounds ctx
+          [|
+            (fun () -> `C (Shardedperm.apply_table_c ?width ctx cols p1));
+            (fun () ->
+              `S (Shardedperm.apply ~width:(perm_width ctx) ctx rho p2));
+          |]
+      in
+      let cs = match pair.(0) with `C l -> l | `S _ -> assert false in
+      let rs = match pair.(1) with `S s -> s | `C _ -> assert false in
+      let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
+      List.map
+        (fun x ->
+          let out = Share.scatter_c x c in
+          Share.dispose_c x;
+          out)
+        cs
+
+let apply_elementwise_table ?width (ctx : Ctx.t) (cols : Share.shared list)
+    (rho : Share.shared) =
+  List.map Share.unpark
+    (apply_elementwise_table_c ?width ctx (List.map Share.wrap cols) rho)
+
+(** Protocol 5 on one column: the one-column table. *)
 let apply_elementwise ?width (ctx : Ctx.t) (x : Share.shared)
     (rho : Share.shared) : Share.shared =
-  let n = Share.length x in
-  if Share.length rho <> n then invalid_arg "apply_elementwise: length";
-  Ctx.with_label ctx "applyperm" @@ fun () ->
-  let p1, p2 = Permmgr.gen_pair ctx n in
-  let pair =
-    Mpc.fuse_rounds ctx
-      [|
-        (fun () -> Shardedperm.apply ?width ctx x p1);
-        (fun () -> Shardedperm.apply ~width:(perm_width ctx) ctx rho p2);
-      |]
-  in
-  let c = Mpc.open_ ~width:(perm_width ctx) ctx pair.(1) in
-  Share.scatter pair.(0) c
+  List.hd (apply_elementwise_table ?width ctx [ x ] rho)
 
 (** Protocol 5 for a packed flag column: the data being permuted is a
     single bit per row, so the first sharded application moves packed
@@ -89,60 +102,6 @@ let apply_elementwise_flags (ctx : Ctx.t) (x : Share.flags)
     let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
     Share.flags_scatter xf c
   end
-
-(** Protocol 5 over a table: several columns move under the same secret
-    elementwise permutation, paying the shuffle of [rho] and its opening
-    once. Used by radixsort to carry the data and padding columns. *)
-let apply_elementwise_table ?width (ctx : Ctx.t) (cols : Share.shared list)
-    (rho : Share.shared) : Share.shared list =
-  match cols with
-  | [] -> []
-  | c0 :: _ ->
-      Ctx.with_label ctx "applyperm" @@ fun () ->
-      let n = Share.length c0 in
-      let p1, p2 = Permmgr.gen_pair ctx n in
-      let pair =
-        Mpc.fuse_rounds ctx
-          [|
-            (fun () -> Shardedperm.apply_table ?width ctx cols p1);
-            (fun () -> [ Shardedperm.apply ~width:(perm_width ctx) ctx rho p2 ]);
-          |]
-      in
-      let rs = match pair.(1) with [ rs ] -> rs | _ -> assert false in
-      let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
-      List.map (fun x -> Share.scatter x c) pair.(0)
-
-(** Chunked Protocol 5 over a table: the data columns stream chunk-at-a-
-    time (sharded application and final scatter both chunk-aware); [rho]
-    itself stays monolithic — it is a single index column, and its shuffle
-    and opening are paid once for all columns exactly as in
-    {!apply_elementwise_table}. *)
-let apply_elementwise_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list)
-    (rho : Share.shared) : Share.chunked list =
-  match cols with
-  | [] -> []
-  | c0 :: _ ->
-      Ctx.with_label ctx "applyperm" @@ fun () ->
-      let n = Share.chunked_length c0 in
-      if Share.length rho <> n then invalid_arg "apply_elementwise: length";
-      let p1, p2 = Permmgr.gen_pair ctx n in
-      let pair =
-        Mpc.fuse_rounds ctx
-          [|
-            (fun () -> `C (Shardedperm.apply_table_c ?width ctx cols p1));
-            (fun () ->
-              `S (Shardedperm.apply ~width:(perm_width ctx) ctx rho p2));
-          |]
-      in
-      let cs = match pair.(0) with `C l -> l | `S _ -> assert false in
-      let rs = match pair.(1) with `S s -> s | `C _ -> assert false in
-      let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
-      List.map
-        (fun x ->
-          let out = Share.scatter_c x c in
-          Share.dispose_c x;
-          out)
-        cs
 
 (** Protocol 6: compose two secret elementwise permutations, returning
     [rho o sigma] (apply [sigma] first). *)

@@ -6,38 +6,37 @@
 
 open Orq_proto
 
-val perm_width : Ctx.t -> int
-
-val shuffle : ?width:int -> Ctx.t -> Share.shared -> Share.shared
-(** Protocol 4: generate and apply a random sharded permutation. *)
+val shuffle_table_c :
+  ?width:int -> Ctx.t -> Share.chunked list -> Share.chunked list
+(** Protocol 4 over a table: one random sharded permutation moves every
+    column; columns stream chunk-at-a-time. *)
 
 val shuffle_table : ?width:int -> Ctx.t -> Share.shared list -> Share.shared list
+(** {!shuffle_table_c} on single-chunk columns. *)
+
+val shuffle : ?width:int -> Ctx.t -> Share.shared -> Share.shared
+(** Protocol 4 on one column (the one-column table). *)
+
+val apply_elementwise_table_c :
+  ?width:int -> Ctx.t -> Share.chunked list -> Share.shared -> Share.chunked list
+(** Protocol 5 over a table: apply a secret elementwise permutation [rho]
+    to several columns, paying the shuffle of [rho] and its opening once.
+    The data columns stream chunk-at-a-time; the index column [rho] stays
+    monolithic. *)
+
+val apply_elementwise_table :
+  ?width:int -> Ctx.t -> Share.shared list -> Share.shared -> Share.shared list
+(** {!apply_elementwise_table_c} on single-chunk columns. *)
 
 val apply_elementwise :
   ?width:int -> Ctx.t -> Share.shared -> Share.shared -> Share.shared
-(** Protocol 5: apply a secret elementwise permutation to a shared vector. *)
+(** Protocol 5 on one column (the one-column table). *)
 
 val apply_elementwise_flags :
   Ctx.t -> Share.flags -> Share.shared -> Share.flags
 (** Protocol 5 for a packed flag column — the single-bit payload moves as
     packed words; wire cost identical to [apply_elementwise ~width:1] on
     the unpacked column. *)
-
-val apply_elementwise_table :
-  ?width:int -> Ctx.t -> Share.shared list -> Share.shared -> Share.shared list
-(** Protocol 5 over a table: the shuffle of [rho] and its opening are paid
-    once for all columns (radixsort's carry). *)
-
-val shuffle_table_c :
-  ?width:int -> Ctx.t -> Share.chunked list -> Share.chunked list
-(** Chunked Protocol 4 over a table — columns stream chunk-at-a-time;
-    metering identical to {!shuffle_table}. *)
-
-val apply_elementwise_table_c :
-  ?width:int -> Ctx.t -> Share.chunked list -> Share.shared -> Share.chunked list
-(** Chunked Protocol 5 over a table — the data columns stream, the index
-    column [rho] stays monolithic; wire cost identical to
-    {!apply_elementwise_table}. *)
 
 val compose : Ctx.t -> Share.shared -> Share.shared -> Share.shared
 (** Protocol 6: [compose sigma rho] = [rho ∘ sigma] (apply [sigma] first). *)

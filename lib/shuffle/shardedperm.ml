@@ -34,6 +34,14 @@ let apply_cost (ctx : Ctx.t) ~w n =
   | Ctx.Sh_hm -> (6 * w * n, 3, 6)
   | Ctx.Mal_hm -> (24 * w * n, 4, 12)
 
+(* Charge one application over [ncols] columns of [n] elements: the rounds
+   and messages of a single application (columns travel together), bits
+   scaling with the data volume. *)
+let meter (ctx : Ctx.t) ~w ~ncols n =
+  let bits, rounds, messages = apply_cost ctx ~w n in
+  Comm.round ctx.comm ~bits:(ncols * bits) ~messages;
+  Comm.rounds_only ctx.comm (rounds - 1)
+
 (** Generate a random sharded permutation of [n] elements. Honest-majority
     generation is free (common PRG seeds); the 2PC permutation correlations
     are charged to preprocessing. *)
@@ -108,9 +116,9 @@ let fold_components_c (ctx : Ctx.t) (c : Share.chunked) (t : t) ~inverse =
       (fun acc p -> apply_component_c ctx acc p ~inverse:false ~owned:(acc != c))
       c t.components
 
-(* Packed-lane twin of {!apply_component}: the local permutation moves
-   flags bit-granularly inside the packed words and the rerandomization
-   noise is drawn per word. *)
+(* Packed-lane counterpart of {!apply_component_c}: the local permutation
+   moves flags bit-granularly inside the packed words and the
+   rerandomization noise is drawn per word. *)
 let apply_flags_component (ctx : Ctx.t) (f : Share.flags) (p : int array) =
   let f =
     { Share.fv = Array.map (fun bk -> Orq_util.Bits.scatter bk p) f.Share.fv }
@@ -130,63 +138,41 @@ let apply_flags_component (ctx : Ctx.t) (f : Share.flags) (p : int array) =
 let apply_flags (ctx : Ctx.t) (f : Share.flags) (t : t) : Share.flags =
   if Share.flags_length f <> t.n then
     invalid_arg "Shardedperm.apply_flags: length";
-  let bits, rounds, messages = apply_cost ctx ~w:1 t.n in
-  Comm.round ctx.comm ~bits ~messages;
-  Comm.rounds_only ctx.comm (rounds - 1);
+  meter ctx ~w:1 ~ncols:1 t.n;
   Array.fold_left (fun acc p -> apply_flags_component ctx acc p) f t.components
 
-(** Apply a sharded permutation to a chunked sharing, streaming
-    chunk-at-a-time; metered exactly like the monolithic {!apply} (the
-    interactive exchange is one whole-column reshare per component —
-    chunking only reorders local evaluation, never the wire protocol). *)
-let apply_c ?width (ctx : Ctx.t) (c : Share.chunked) (t : t) : Share.chunked =
-  if Share.chunked_length c <> t.n then invalid_arg "Shardedperm.apply: length";
-  let w = Option.value width ~default:ctx.ell in
-  let bits, rounds, messages = apply_cost ctx ~w t.n in
-  Comm.round ctx.comm ~bits ~messages;
-  Comm.rounds_only ctx.comm (rounds - 1);
-  fold_components_c ctx c t ~inverse:false
-
-(** Apply the inverse (components undone in reverse order); same cost. *)
-let apply_inverse_c ?width (ctx : Ctx.t) (c : Share.chunked) (t : t) :
-    Share.chunked =
-  if Share.chunked_length c <> t.n then
-    invalid_arg "Shardedperm.apply_inverse: length";
-  let w = Option.value width ~default:ctx.ell in
-  let bits, rounds, messages = apply_cost ctx ~w t.n in
-  Comm.round ctx.comm ~bits ~messages;
-  Comm.rounds_only ctx.comm (rounds - 1);
-  fold_components_c ctx c t ~inverse:true
-
-(** One permutation over several chunked columns: rounds of a single
-    application (columns travel together), bytes scaling with data volume;
-    columns stream one at a time, so the working set is one column. *)
-let apply_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list) (t : t) :
-    Share.chunked list =
+(** Apply a sharded permutation (or, with [~inverse:true], its inverse:
+    components undone in reverse order) to several chunked columns,
+    streaming chunk-at-a-time: the working set is one column, and the
+    metered rounds/bits/messages are charged once at the
+    whole-logical-vector level (the interactive exchange is one
+    whole-column reshare per component — chunking only reorders local
+    evaluation, never the wire protocol). *)
+let apply_cols ~inverse ?width (ctx : Ctx.t) (cols : Share.chunked list)
+    (t : t) : Share.chunked list =
   match cols with
   | [] -> []
   | _ ->
-      let w = Option.value width ~default:ctx.ell in
-      let per_col =
-        List.map (fun c -> apply_cost ctx ~w (Share.chunked_length c)) cols
-      in
-      let bits = List.fold_left (fun a (b, _, _) -> a + b) 0 per_col in
-      let _, rounds, messages = List.hd per_col in
-      Comm.round ctx.comm ~bits ~messages;
-      Comm.rounds_only ctx.comm (rounds - 1);
-      List.map (fun c -> fold_components_c ctx c t ~inverse:false) cols
+      List.iter
+        (fun c ->
+          if Share.chunked_length c <> t.n then
+            invalid_arg "Shardedperm.apply: length")
+        cols;
+      meter ctx
+        ~w:(Option.value width ~default:ctx.ell)
+        ~ncols:(List.length cols) t.n;
+      List.map (fun c -> fold_components_c ctx c t ~inverse) cols
+
+let apply_table_c ?width ctx cols t =
+  apply_cols ~inverse:false ?width ctx cols t
 
 (* Monolithic API: the single-chunk special case of the streaming core
    (wrap is copy-free, and on one chunk the core replays the pre-chunking
    computation exactly — values, PRG order and metering all identical). *)
 
-let apply ?width (ctx : Ctx.t) (s : Share.shared) (t : t) : Share.shared =
-  Share.unpark (apply_c ?width ctx (Share.wrap s) t)
+let apply ?width ctx s t =
+  Share.unpark (List.hd (apply_table_c ?width ctx [ Share.wrap s ] t))
 
-let apply_inverse ?width (ctx : Ctx.t) (s : Share.shared) (t : t) :
-    Share.shared =
-  Share.unpark (apply_inverse_c ?width ctx (Share.wrap s) t)
-
-let apply_table ?width (ctx : Ctx.t) (cols : Share.shared list) (t : t) :
-    Share.shared list =
-  List.map Share.unpark (apply_table_c ?width ctx (List.map Share.wrap cols) t)
+let apply_inverse ?width ctx s t =
+  Share.unpark
+    (List.hd (apply_cols ~inverse:true ?width ctx [ Share.wrap s ] t))

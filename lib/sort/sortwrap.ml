@@ -23,26 +23,38 @@ let default_algo_for_width w = if w <= 32 then Radixsort else Quicksort
 let index_column (ctx : Ctx.t) n =
   Share.public_vec ctx Share.Bool (Localperm.identity n)
 
-let run_base (ctx : Ctx.t) algo dir ~w key carry =
+(* Rematerialize a monolithic result with the tracking of the chunked
+   input it replaces. *)
+let repack_like (like : Share.chunked) (s : Share.shared) =
+  if Share.chunked_tracked like then Share.park s else Share.wrap s
+
+(* Base-sort dispatch over chunked columns: radixsort streams them
+   chunk-at-a-time; quicksort runs on unparked columns, repacks its output
+   and appends its sorted index column to the carry. *)
+let run_base (ctx : Ctx.t) algo dir ~w (key : Share.chunked)
+    (carry : Share.chunked list) : Share.chunked * Share.chunked list =
   match algo with
   | Radixsort ->
       Ctx.with_label ctx "radixsort" @@ fun () ->
       let rdir = match dir with Asc -> Radixsort.Asc | Desc -> Radixsort.Desc in
-      Radixsort.sort ctx ~bits:w ~dir:rdir key carry
+      Radixsort.sort_c ctx ~bits:w ~dir:rdir key carry
   | Quicksort -> (
       Ctx.with_label ctx "quicksort" @@ fun () ->
-      let n = Share.length key in
+      let n = Share.chunked_length key in
       (* the index is part of the composite key: uniqueness + stability *)
       let idx = index_column ctx n in
       let qdir = match dir with Asc -> Quicksort.Asc | Desc -> Quicksort.Desc in
       let keys =
         [
-          { Quicksort.col = key; width = w; dir = qdir };
+          { Quicksort.col = Share.unpark key; width = w; dir = qdir };
           { Quicksort.col = idx; width = ctx.perm_bits; dir = Quicksort.Asc };
         ]
       in
-      match Quicksort.sort ctx ~keys carry with
-      | [ key'; idx' ], carry' -> (key', carry' @ [ idx' ])
+      match Quicksort.sort ctx ~keys (List.map Share.unpark carry) with
+      | [ key'; idx' ], carry' ->
+          (* the index column is consumed at once, never stored: wrap it *)
+          ( repack_like key key',
+            List.map (repack_like key) carry' @ [ Share.wrap idx' ] )
       | _ -> assert false)
 
 (* For radixsort the index must be appended to the carried columns so the
@@ -61,7 +73,11 @@ let sort_with_perm (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.shared)
   let algo = Option.value algo ~default:(default_algo_for_width w) in
   let n = Share.length key in
   let ncarry = List.length carry in
-  let key', cols' = run_base ctx algo dir ~w key (with_index ctx algo n carry) in
+  let key', cols' =
+    run_base ctx algo dir ~w (Share.wrap key)
+      (List.map Share.wrap (with_index ctx algo n carry))
+  in
+  let cols' = List.map Share.unpark cols' in
   let carry' = Quicksort.take ncarry cols' in
   let pi =
     match Quicksort.drop ncarry cols' with
@@ -69,38 +85,19 @@ let sort_with_perm (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.shared)
     | _ -> assert false
   in
   let sigma = Permops.invert ctx pi in
-  (key', carry', sigma)
+  (Share.unpark key', carry', sigma)
 
-(** [sort ctx ?algo ~dir ~w key carry] as above but without extracting the
-    sorting permutation (single-key sorts that carry all their columns
+(** [sort_c ctx ?algo ~dir ~w key carry] as above but without extracting
+    the sorting permutation (single-key sorts that carry all their columns
     through the base sort do not need it). *)
-let sort (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.shared)
-    (carry : Share.shared list) : Share.shared * Share.shared list =
-  let algo = Option.value algo ~default:(default_algo_for_width w) in
-  match algo with
-  | Radixsort -> run_base ctx Radixsort dir ~w key carry
-  | Quicksort ->
-      let ncarry = List.length carry in
-      let key', cols' = run_base ctx Quicksort dir ~w key carry in
-      (key', Quicksort.take ncarry cols')
-
-(* Rematerialize a monolithic fallback result with the tracking of the
-   chunked input it replaces. *)
-let repack_like (like : Share.chunked) (s : Share.shared) =
-  if Share.chunked_tracked like then Share.park s else Share.wrap s
-
-(** Chunked {!sort} (no permutation extraction). *)
 let sort_c (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
     (carry : Share.chunked list) : Share.chunked * Share.chunked list =
   let algo = Option.value algo ~default:(default_algo_for_width w) in
-  match algo with
-  | Radixsort ->
-      Ctx.with_label ctx "radixsort" @@ fun () ->
-      let rdir = match dir with Asc -> Radixsort.Asc | Desc -> Radixsort.Desc in
-      Radixsort.sort_c ctx ~bits:w ~dir:rdir key carry
-  | Quicksort ->
-      let k, c =
-        sort ctx ~algo:Quicksort ~dir ~w (Share.unpark key)
-          (List.map Share.unpark carry)
-      in
-      (repack_like key k, List.map (repack_like key) c)
+  let key', cols' = run_base ctx algo dir ~w key carry in
+  (key', Quicksort.take (List.length carry) cols')
+
+let sort ctx ?algo ~dir ~w key carry =
+  let key', carry' =
+    sort_c ctx ?algo ~dir ~w (Share.wrap key) (List.map Share.wrap carry)
+  in
+  (Share.unpark key', List.map Share.unpark carry')

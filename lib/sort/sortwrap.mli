@@ -14,24 +14,20 @@ val default_algo_for_width : int -> algo
 (** Radixsort for narrow keys (≤ 32 bits), quicksort above — the engine
     default (§3.2). *)
 
-val index_column : Ctx.t -> int -> Share.shared
-(** The shared 0..n-1 index column (the publicShare padding step). *)
-
 val sort_with_perm :
   Ctx.t -> ?algo:algo -> dir:dir -> w:int -> Share.shared ->
   Share.shared list -> Share.shared * Share.shared list * Share.shared
 (** Sort by a single key column (index tiebreak), returning the sorted
     key, the sorted carry columns, and the sorting permutation sigma. *)
 
-val sort :
-  Ctx.t -> ?algo:algo -> dir:dir -> w:int -> Share.shared ->
-  Share.shared list -> Share.shared * Share.shared list
-(** As above without extracting the permutation (single-key sorts that
-    carry all their columns need none). *)
-
 val sort_c :
   Ctx.t -> ?algo:algo -> dir:dir -> w:int -> Share.chunked ->
   Share.chunked list -> Share.chunked * Share.chunked list
-(** Chunked {!sort}: radixsort streams the columns chunk-at-a-time;
-    quicksort is a monolithic fallback (columns unparked around it). Wire
-    cost identical. *)
+(** As above without extracting the permutation (single-key sorts that
+    carry all their columns need none). Radixsort streams the columns
+    chunk-at-a-time; quicksort runs on unparked columns. *)
+
+val sort :
+  Ctx.t -> ?algo:algo -> dir:dir -> w:int -> Share.shared ->
+  Share.shared list -> Share.shared * Share.shared list
+(** {!sort_c} on single-chunk columns. *)

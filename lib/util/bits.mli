@@ -9,16 +9,9 @@
 
 type t = { n : int; w : int array }
 
-val bpw : int
-(** Flags per word (= {!Ring.word_bits} = 63 on 64-bit platforms). *)
-
-val words_for : int -> int
-(** Number of words backing [n] flags. *)
-
 val length : t -> int
 val words : t -> int array
 val num_words : t -> int
-val create : int -> t
 val of_words : int -> int array -> t
 (** Wrap a raw word array (takes ownership; tail re-masked to canonical
     form). The array must have exactly [words_for n] words. *)
@@ -26,7 +19,6 @@ val of_words : int -> int array -> t
 val copy : t -> t
 val equal : t -> t -> bool
 val get : t -> int -> int
-val set : t -> int -> int -> unit
 
 val pack : int array -> t
 (** Pack the LSB of each element of a word vector. *)
@@ -65,4 +57,3 @@ val scatter : t -> int array -> t
 (** Input flag [i] lands at [idx.(i)]; [idx] must be a permutation
     (validated under {!Debug.set_checks}). *)
 
-val pp : Format.formatter -> t -> unit

@@ -498,63 +498,72 @@ let map2 f x y =
     source faults chunks in on demand, so the resident working set is one
     output chunk plus the touched source chunks. *)
 let gather t (idx : int array) =
-  if Debug.enabled () then
-    Debug.validate_indices ~op:"Chunkvec.gather" idx t.n;
-  let m = Array.length idx in
-  let b = like_builder t m in
-  let nc = nchunks t in
-  (* per-output-chunk pin cache over source chunks *)
-  let cache : int array option array = Array.make (max 1 nc) None in
-  let pos = ref 0 in
-  while !pos < m do
-    let l = min b.Builder.brows (m - !pos) in
-    let out = Array.make l 0 in
-    for j = 0 to l - 1 do
-      let g = idx.(!pos + j) in
-      let ci = g / t.rows in
-      let src =
-        match cache.(ci) with
-        | Some a -> a
-        | None ->
-            let a = pin_chunk t.chunks.(ci) in
-            cache.(ci) <- Some a;
-            a
-      in
-      out.(j) <- src.(g - (ci * t.rows))
+  (* one untracked chunk (a wrapped monolithic vector): the flat kernel *)
+  if nchunks t = 1 && not t.vtracked then
+    alias (with_chunk t 0 (fun a -> Vec.gather a idx))
+  else begin
+    if Debug.enabled () then
+      Debug.validate_indices ~op:"Chunkvec.gather" idx t.n;
+    let m = Array.length idx in
+    let b = like_builder t m in
+    let nc = nchunks t in
+    (* per-output-chunk pin cache over source chunks *)
+    let cache : int array option array = Array.make (max 1 nc) None in
+    let pos = ref 0 in
+    while !pos < m do
+      let l = min b.Builder.brows (m - !pos) in
+      let out = Array.make l 0 in
+      for j = 0 to l - 1 do
+        let g = idx.(!pos + j) in
+        let ci = g / t.rows in
+        let src =
+          match cache.(ci) with
+          | Some a -> a
+          | None ->
+              let a = pin_chunk t.chunks.(ci) in
+              cache.(ci) <- Some a;
+              a
+        in
+        out.(j) <- src.(g - (ci * t.rows))
+      done;
+      Array.iteri
+        (fun ci v ->
+          match v with
+          | Some _ ->
+              unpin_chunk t.chunks.(ci);
+              cache.(ci) <- None
+          | None -> ())
+        cache;
+      Builder.push b out;
+      pos := !pos + l
     done;
-    Array.iteri
-      (fun ci v ->
-        match v with
-        | Some _ ->
-            unpin_chunk t.chunks.(ci);
-            cache.(ci) <- None
-        | None -> ())
-      cache;
-    Builder.push b out;
-    pos := !pos + l
-  done;
-  Builder.finish b
+    Builder.finish b
+  end
 
 (** [scatter t idx]: out.(idx.(i)) = t.(i); [idx] must be a permutation.
     Destination chunks are all materialized while the source streams
     through, so the working set is one full output column. *)
 let scatter t (idx : int array) =
   if Array.length idx <> t.n then invalid_arg "Chunkvec.scatter: length";
-  if Debug.enabled () then Debug.validate_perm ~op:"Chunkvec.scatter" idx t.n;
-  let rows = if t.vtracked then t.rows else max 1 t.n in
-  let nout = (t.n + rows - 1) / rows in
-  let outs =
-    Array.init nout (fun i -> Array.make (min rows (t.n - (i * rows))) 0)
-  in
-  iter_chunks t (fun i a ->
-      let base = chunk_base t i in
-      for j = 0 to Array.length a - 1 do
-        let d = idx.(base + j) in
-        outs.(d / rows).(d mod rows) <- a.(j)
-      done);
-  let b = like_builder t t.n in
-  Array.iter (fun o -> Builder.push b o) outs;
-  Builder.finish b
+  if nchunks t = 1 && not t.vtracked then
+    alias (with_chunk t 0 (fun a -> Vec.scatter a idx))
+  else begin
+    if Debug.enabled () then Debug.validate_perm ~op:"Chunkvec.scatter" idx t.n;
+    let rows = t.rows in
+    let nout = (t.n + rows - 1) / rows in
+    let outs =
+      Array.init nout (fun i -> Array.make (min rows (t.n - (i * rows))) 0)
+    in
+    iter_chunks t (fun i a ->
+        let base = chunk_base t i in
+        for j = 0 to Array.length a - 1 do
+          let d = idx.(base + j) in
+          outs.(d / rows).(d mod rows) <- a.(j)
+        done);
+    let b = like_builder t t.n in
+    Array.iter (fun o -> Builder.push b o) outs;
+    Builder.finish b
+  end
 
 (** [sub t pos len]: interior chunks are shared (refcounted), only the
     unaligned boundary chunks are copied. *)
@@ -731,3 +740,14 @@ let rss_peak_kb () =
     in
     scan ()
   with _ -> 0
+
+(** Reset the kernel's peak-RSS mark (VmHWM) to the current resident set,
+    so the next {!rss_peak_kb} reads the peak reached since; false where
+    /proc/self/clear_refs is missing or not writable. *)
+let reset_rss_peak () =
+  try
+    let oc = open_out "/proc/self/clear_refs" in
+    output_string oc "5";
+    close_out oc;
+    true
+  with Sys_error _ -> false

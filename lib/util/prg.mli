@@ -26,9 +26,6 @@ val split : t -> int -> t
 (** [split t i] derives the [i]-th child generator (independent stream),
     without advancing [t]. *)
 
-val next64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val word : t -> int
 (** A uniformly random ring word (63 bits). *)
 
@@ -36,9 +33,6 @@ val bool : t -> bool
 
 val int_below : t -> int -> int
 (** Uniform integer in [0, bound) (rejection-sampled; [bound] > 0). *)
-
-val fill_words : t -> int array -> unit
-(** Fill an array with uniform ring words. *)
 
 val words : t -> int -> int array
 (** [words t n] is a fresh array of [n] uniform ring words. *)

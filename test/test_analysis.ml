@@ -81,6 +81,37 @@ let test_lint_audited_tree_is_registered () =
         (String.length e.Declass.d_why > 20))
     Declass.all
 
+(* An allowlist entry whose module is linted but whose site no longer
+   opens (or branches) is stale, and stale entries fail the lint. *)
+let test_lint_flags_stale_entries () =
+  let stale_of ~filename src =
+    let fs = Lint.lint_string ~filename src in
+    List.map
+      (fun (_, (e : Declass.entry)) ->
+        (e.Declass.d_site, Declass.rule_label e.Declass.d_rule))
+      (Lint.stale_entries ~files:[ filename ] fs)
+  in
+  let pair = Alcotest.(list (pair string string)) in
+  (* reveal without its opening or its branch: both entries are stale *)
+  Alcotest.check pair "entries of a site that lost its opening"
+    [ ("Table.reveal", "declass"); ("Table.reveal", "branch") ]
+    (stale_of ~filename:"lib/core/table.ml"
+       {|
+let reveal t = List.map (fun (n, c) -> (n, Column.reconstruct c)) t
+|});
+  (* the branch on an opened value is reached through a callback *)
+  Alcotest.check pair "every entry matched" []
+    (stale_of ~filename:"lib/core/table.ml"
+       {|
+let reveal ctx v =
+  let vbits = Mpc.open_ ~width:1 ctx v in
+  let keep = ref [] in
+  Array.iteri (fun i b -> if b = 1 then keep := i :: !keep) vbits;
+  !keep
+|});
+  Alcotest.check pair "modules not linted are not judged" []
+    (stale_of ~filename:"fixture/clean.ml" "let f x = x")
+
 (* ---------------- recorder mechanics ---------------- *)
 
 let test_recorder_ring_and_labels () =
@@ -281,6 +312,8 @@ let suite =
       test_lint_clean_code_passes;
     Alcotest.test_case "allowlist entries are justified" `Quick
       test_lint_audited_tree_is_registered;
+    Alcotest.test_case "lint flags stale allowlist entries" `Quick
+      test_lint_flags_stale_entries;
     Alcotest.test_case "recorder ring + label stack" `Quick
       test_recorder_ring_and_labels;
     Alcotest.test_case "transcript diff localizes" `Quick test_transcript_diff;

@@ -8,6 +8,8 @@ module Vec = Orq_util.Vec
 module Comm = Orq_net.Comm
 module Permops = Orq_shuffle.Permops
 module Sortwrap = Orq_sort.Sortwrap
+module Tablesort = Orq_core.Tablesort
+module Localperm = Orq_shuffle.Localperm
 module Tpch = Orq_workloads.Tpch
 module Tpch_gen = Orq_workloads.Tpch_gen
 open Orq_proto
@@ -227,6 +229,89 @@ let test_sort () =
           tally_eq (tag "sort tally") tal1 tal2))
     [ 56; 53 ]
 
+(* Protocol 5 on one column is the one-column table: the wrapped
+   monolithic call and a tracked multi-chunk column agree on values and
+   tallies, and both move x.(i) to rho.(i). *)
+let test_apply_elementwise () =
+  for_all_kinds @@ fun kind ->
+  List.iter
+    (fun n ->
+      let tag s = Printf.sprintf "%s %s n=%d" s (kind_name kind) n in
+      let st = Random.State.make [| 9; n |] in
+      let x = rand_array st n and rho = test_perm n in
+      let ctx1 = Ctx.create ~seed:44 kind in
+      let sx = Mpc.share_b ctx1 x and srho = Mpc.share_a ctx1 rho in
+      let before1 = Comm.snapshot ctx1.Ctx.comm in
+      let r1 = Share.reconstruct (Permops.apply_elementwise ctx1 sx srho) in
+      let tal1 = Comm.since ctx1.Ctx.comm before1 in
+      Alcotest.(check vec) (tag "rho(x)") (Localperm.apply x rho) r1;
+      with_streaming ~rows:7 (fun () ->
+          let ctx2 = Ctx.create ~seed:44 kind in
+          let cx = Share.park (Mpc.share_b ctx2 x) in
+          let srho2 = Mpc.share_a ctx2 rho in
+          let before2 = Comm.snapshot ctx2.Ctx.comm in
+          let out2 = Permops.apply_elementwise_table_c ctx2 [ cx ] srho2 in
+          let tal2 = Comm.since ctx2.Ctx.comm before2 in
+          Alcotest.(check vec) (tag "chunked rho(x)") r1
+            (Share.reconstruct_c (List.hd out2));
+          tally_eq (tag "apply_elementwise tally") tal1 tal2))
+    [ 56; 53 ]
+
+(* Multi-key TableSort (the join's sort): three keys of narrow widths, so
+   ties on the leading keys exercise the composition of per-key
+   permutations, one of them descending. Wrapped single-chunk columns and
+   7-row tracked chunks must agree on values and tallies, and both must
+   match a stable plaintext sort. *)
+let test_sort_cols () =
+  let widths = [ 2; 3; 4 ] in
+  let orders = [ Tablesort.Asc; Tablesort.Desc; Tablesort.Asc ] in
+  for_all_kinds @@ fun kind ->
+  List.iter
+    (fun n ->
+      let tag s = Printf.sprintf "%s %s n=%d" s (kind_name kind) n in
+      let st = Random.State.make [| 10; n |] in
+      let keys =
+        List.map
+          (fun w -> Array.init n (fun _ -> Random.State.int st (1 lsl w)))
+          widths
+      in
+      let pay = rand_array st n in
+      let expect =
+        let cmp i j =
+          List.fold_left2
+            (fun c k o ->
+              if c <> 0 then c
+              else
+                let d = compare k.(i) k.(j) in
+                if o = Tablesort.Desc then -d else d)
+            0 keys orders
+        in
+        let idx = List.stable_sort cmp (List.init n Fun.id) in
+        List.map (fun col -> Array.of_list (List.map (fun i -> col.(i)) idx))
+          (keys @ [ pay ])
+      in
+      let run ctx lift =
+        let ks =
+          List.map2
+            (fun (k, w) o -> (lift (Mpc.share_b ctx k), w, o))
+            (List.combine keys widths) orders
+        in
+        let p = lift (Mpc.share_b ctx pay) in
+        let before = Comm.snapshot ctx.Ctx.comm in
+        let ks', ps' = Tablesort.sort_cols ctx ~keys:ks [ p ] in
+        let tal = Comm.since ctx.Ctx.comm before in
+        (List.map Share.reconstruct_c (ks' @ ps'), tal)
+      in
+      let r1, tal1 = run (Ctx.create ~seed:55 kind) Share.wrap in
+      List.iter2 (fun a b -> Alcotest.(check vec) (tag "sorted") a b) expect r1;
+      with_streaming ~rows:7 (fun () ->
+          let r2, tal2 = run (Ctx.create ~seed:55 kind) Share.park in
+          List.iter2
+            (fun a b -> Alcotest.(check vec) (tag "chunked sorted") a b)
+            r1 r2;
+          tally_eq (tag "sort_cols tally") tal1 tal2))
+    [ 56; 53 ]
+
 (* ------------------------------------------------------------------ *)
 (* Query-level: full TPC-H plans, streaming + tiny budget              *)
 (* ------------------------------------------------------------------ *)
@@ -273,6 +358,10 @@ let suite =
     Alcotest.test_case "share gather/scatter" `Quick test_share_gather_scatter;
     Alcotest.test_case "shuffle_table values+tally" `Quick test_shuffle_table;
     Alcotest.test_case "sort values+tally" `Quick test_sort;
+    Alcotest.test_case "apply_elementwise values+tally" `Quick
+      test_apply_elementwise;
+    Alcotest.test_case "multi-key sort_cols values+tally" `Quick
+      test_sort_cols;
     Alcotest.test_case "tpch queries streamed" `Slow test_queries;
   ]
 

@@ -102,7 +102,7 @@ let test_sharded_table_rounds () =
       let tl1 = Orq_net.Comm.since ctx.Ctx.comm before in
       ignore single;
       let before2 = Orq_net.Comm.snapshot ctx.Ctx.comm in
-      ignore (Shardedperm.apply_table ctx cols p);
+      ignore (Shardedperm.apply_table_c ctx (List.map Share.wrap cols) p);
       let tl2 = Orq_net.Comm.since ctx.Ctx.comm before2 in
       Alcotest.(check int) "table apply same rounds as single"
         tl1.Orq_net.Comm.t_rounds tl2.Orq_net.Comm.t_rounds;
