@@ -113,8 +113,11 @@ let fig5_secrecy ~sf ~other_n () =
        sf other_n);
   hdr "%-14s %12s %12s %10s %12s %12s" "query" "orq-LAN" "secrecy-LAN"
     "speedup" "orq-KB/row" "sec-KB/row";
-  let tplain = Tpch_gen.generate ~seed:2024 sf in
-  let oplain = Other_gen.generate ~seed:2025 other_n in
+  let data =
+    Workload.data ~tpch_seed:2024 ~other_seed:2025 ~sf ~n:other_n ()
+  in
+  let tplain = Lazy.force data.Workload.tpch in
+  let oplain = Lazy.force data.Workload.other in
   let compare_q name rows orq_f sec_f =
     let run f =
       let ctx = Ctx.create ~seed:5 Ctx.Sh_hm in
@@ -130,25 +133,20 @@ let fig5_secrecy ~sf ~other_n () =
       (kb_per_row_per_party o ~rows)
       (kb_per_row_per_party s ~rows)
   in
-  let orq_other name ctx =
-    (Other_queries.find name).Other_queries.run (Other_gen.share ctx oplain)
-  in
-  let orq_tpch name ctx =
-    (Tpch.find name).Tpch.run (Tpch_gen.share ctx tplain)
-  in
+  let orq name ctx = ((Workload.find name).prepare data ctx).Workload.run () in
   let o_rows = 4 * other_n and t_rows = Tpch_gen.total_rows tplain in
-  compare_q "Q6" t_rows (orq_tpch "Q6") (orq_tpch "Q6");
-  compare_q "Password" o_rows (orq_other "Password") (fun ctx ->
+  compare_q "Q6" t_rows (orq "Q6") (orq "Q6");
+  compare_q "Password" o_rows (orq "Password") (fun ctx ->
       secrecy_password (Other_gen.share ctx oplain));
-  compare_q "Credit" o_rows (orq_other "Credit") (fun ctx ->
+  compare_q "Credit" o_rows (orq "Credit") (fun ctx ->
       secrecy_credit (Other_gen.share ctx oplain));
-  compare_q "Comorbidity" o_rows (orq_other "Comorbidity") (fun ctx ->
+  compare_q "Comorbidity" o_rows (orq "Comorbidity") (fun ctx ->
       secrecy_comorbidity (Other_gen.share ctx oplain));
-  compare_q "Aspirin" o_rows (orq_other "Aspirin") (fun ctx ->
+  compare_q "Aspirin" o_rows (orq "Aspirin") (fun ctx ->
       secrecy_aspirin (Other_gen.share ctx oplain));
-  compare_q "Q4" t_rows (orq_tpch "Q4") (fun ctx ->
+  compare_q "Q4" t_rows (orq "Q4") (fun ctx ->
       secrecy_q4 (Tpch_gen.share ctx tplain));
-  compare_q "Q13" t_rows (orq_tpch "Q13") (fun ctx ->
+  compare_q "Q13" t_rows (orq "Q13") (fun ctx ->
       secrecy_q13 (Tpch_gen.share ctx tplain));
   row
     "(paper: 478x-760x on join queries, 17x-42x on group-by/distinct, 3x on \
@@ -242,28 +240,36 @@ let fig5_secretflow ~sf () =
        sf);
   hdr "%-6s %12s %12s %10s %14s %14s" "query" "orq-LAN" "sfl-LAN" "speedup"
     "orq-B/row" "sfl-B/row";
-  let plain = Tpch_gen.generate ~seed:2024 sf in
+  let data = Workload.data ~tpch_seed:2024 ~sf () in
+  let plain = Lazy.force data.Workload.tpch in
   let rows = Tpch_gen.total_rows plain in
   let pairs =
     [
-      ("S1", "S1", sf_baseline_s1);
-      ("S2", "S2", sf_baseline_s2);
-      ("S3", "S3", sf_baseline_s3);
-      ("S4", "S4", sf_baseline_s4);
-      ("S5", "S5", sf_baseline_s5);
+      ("S1", sf_baseline_s1);
+      ("S2", sf_baseline_s2);
+      ("S3", sf_baseline_s3);
+      ("S4", sf_baseline_s4);
+      ("S5", sf_baseline_s5);
     ]
   in
   List.iter
-    (fun (label, orq_name, baseline) ->
-      let run f =
+    (fun (name, baseline) ->
+      (* sharing happens before the measured span *)
+      let run prepare =
         let ctx = Ctx.create ~seed:7 Ctx.Sh_dm in
-        let mdb = Tpch_gen.share ctx plain in
-        let _, m = measure ctx (fun () -> ignore (f mdb)) in
+        let f = prepare ctx in
+        let _, m = measure ctx (fun () -> ignore (f ())) in
         m
       in
-      let o = run (Secretflow_queries.find orq_name).Secretflow_queries.run in
-      let s = run baseline in
-      row "%-6s %12s %12s %9.1fx %14.0f %14.0f" label
+      let o =
+        run (fun ctx -> ((Workload.find name).prepare data ctx).Workload.run)
+      in
+      let s =
+        run (fun ctx ->
+            let mdb = Tpch_gen.share ctx plain in
+            fun () -> baseline mdb)
+      in
+      row "%-6s %12s %12s %9.1fx %14.0f %14.0f" name
         (pretty_time (estimate Netsim.lan o))
         (pretty_time (estimate Netsim.lan s))
         (estimate Netsim.lan s /. estimate Netsim.lan o)

@@ -19,28 +19,24 @@ type qresult = {
 
 (* Run every TPC-H + prior-work query under [kind]; returns measurements. *)
 let run_workload kind ~sf ~other_n : qresult list =
-  let plain = Tpch_gen.generate ~seed:2024 sf in
-  let tpch_rows = Tpch_gen.total_rows plain in
-  let tpch =
-    List.map
-      (fun (q : Tpch.query) ->
-        let ctx = Ctx.create ~seed:1 kind in
-        let mdb = Tpch_gen.share ctx plain in
-        let _, m = measure ctx (fun () -> ignore (q.Tpch.run mdb)) in
-        { q_name = q.Tpch.name; q_rows = tpch_rows; q_m = m })
-      Tpch.all
-  in
-  let oplain = Other_gen.generate ~seed:2025 other_n in
-  let others =
-    List.map
-      (fun (q : Other_queries.query) ->
-        let ctx = Ctx.create ~seed:2 kind in
-        let mdb = Other_gen.share ctx oplain in
-        let _, m = measure ctx (fun () -> ignore (q.Other_queries.run mdb)) in
-        { q_name = q.Other_queries.name; q_rows = 4 * other_n; q_m = m })
-      Other_queries.all
-  in
-  tpch @ others
+  let data = Workload.data ~tpch_seed:2024 ~other_seed:2025 ~sf ~n:other_n () in
+  List.map
+    (fun (e : Workload.t) ->
+      let seed, rows =
+        if e.family = Workload.Prior_work then (2, 4 * other_n)
+        else (1, Tpch_gen.total_rows (Lazy.force data.Workload.tpch))
+      in
+      let ctx = Ctx.create ~seed kind in
+      let q = e.prepare data ctx in
+      let _, m = measure ctx (fun () -> ignore (q.Workload.run ())) in
+      { q_name = e.name; q_rows = rows; q_m = m })
+    Workload.suite
+
+(* One TPC-H query under [kind] at scale factor [sf] (sharing unmeasured). *)
+let measure_tpch kind sf (e : Workload.t) =
+  let ctx = Ctx.create ~seed:1 kind in
+  let q = e.prepare (Workload.data ~tpch_seed:2024 ~sf ()) ctx in
+  snd (measure ctx (fun () -> ignore (q.Workload.run ())))
 
 let is_tpch r = String.length r.q_name >= 1 && r.q_name.[0] = 'Q'
 
@@ -95,26 +91,19 @@ let fig8 ~sf () =
        (10. *. sf));
   hdr "%-8s %12s %12s %10s %10s" "query" "small" "large" "lan-ratio"
     "cpu-ratio";
-  let run at_sf (q : Tpch.query) =
-    let plain = Tpch_gen.generate ~seed:2024 at_sf in
-    let ctx = Ctx.create ~seed:1 Ctx.Sh_dm in
-    let mdb = Tpch_gen.share ctx plain in
-    let _, m = measure ctx (fun () -> ignore (q.Tpch.run mdb)) in
-    m
-  in
   let ratios =
     List.map
-      (fun (q : Tpch.query) ->
-        let small = run sf q in
-        let large = run (10. *. sf) q in
+      (fun (e : Workload.t) ->
+        let small = measure_tpch Ctx.Sh_dm sf e in
+        let large = measure_tpch Ctx.Sh_dm (10. *. sf) e in
         let le s = estimate Netsim.lan s in
-        row "%-8s %12s %12s %9.1fx %9.1fx" q.Tpch.name
+        row "%-8s %12s %12s %9.1fx %9.1fx" e.name
           (pretty_time (le small))
           (pretty_time (le large))
           (le large /. le small)
           (large.wall_s /. small.wall_s);
         (le large /. le small, large.wall_s /. small.wall_s))
-      Tpch.all
+      (List.filter (fun (e : Workload.t) -> e.family = Workload.Tpch) Workload.all)
   in
   row
     "median lan-ratio: %.1fx, median compute-ratio: %.1fx (ideal n log n \
@@ -131,18 +120,11 @@ let fig9 ~sf () =
   hdr "%-8s %-8s %12s %12s %8s" "query" "proto" "WAN-est" "MB" "vs-small";
   List.iter
     (fun qname ->
-      let q = Tpch.find qname in
+      let e = Workload.find qname in
       List.iter
         (fun kind ->
-          let run at_sf =
-            let plain = Tpch_gen.generate ~seed:2024 at_sf in
-            let ctx = Ctx.create ~seed:1 kind in
-            let mdb = Tpch_gen.share ctx plain in
-            let _, m = measure ctx (fun () -> ignore (q.Tpch.run mdb)) in
-            m
-          in
-          let small = run sf in
-          let large = run (10. *. sf) in
+          let small = measure_tpch kind sf e in
+          let large = measure_tpch kind (10. *. sf) e in
           row "%-8s %-8s %12s %12.2f %7.1fx" qname (Ctx.kind_label kind)
             (pretty_time (estimate Netsim.wan large))
             (mib large.online)
@@ -157,11 +139,7 @@ let fig12 ~sf () =
   hdr "%-8s %12s %12s %10s" "query" "WAN-est" "GEO-est" "geo/wan";
   List.iter
     (fun qname ->
-      let q = Tpch.find qname in
-      let plain = Tpch_gen.generate ~seed:2024 sf in
-      let ctx = Ctx.create ~seed:1 Ctx.Sh_hm in
-      let mdb = Tpch_gen.share ctx plain in
-      let _, m = measure ctx (fun () -> ignore (q.Tpch.run mdb)) in
+      let m = measure_tpch Ctx.Sh_hm sf (Workload.find qname) in
       let wan = estimate Netsim.wan m and geo = estimate Netsim.geo m in
       row "%-8s %12s %12s %9.2fx" qname (pretty_time wan) (pretty_time geo)
         (geo /. wan))

@@ -77,11 +77,11 @@ let () =
      the quick "all" pass *)
   if List.mem "micro-kernels" cmds then Kernels.run ~quick ();
   (* every query x protocol x engine config, each cell once; the dataset
-     sizes default to the certifier's, where every query is nonempty *)
+     sizes default to the canonical suite dataset's *)
   if List.mem "suite" cmds then
     Suite.run ~quick
-      ~sf:(Option.value sf_opt ~default:0.0002)
-      ~other_n:(Option.value n_opt ~default:400)
+      ~sf:(Option.value sf_opt ~default:Orq_workloads.Workload.suite_sf)
+      ~other_n:(Option.value n_opt ~default:Orq_workloads.Workload.suite_n)
       ();
   (* out-of-core chunked streaming: overhead, budgeted big run, SF ladder *)
   if List.mem "scale" cmds then Scale.run ~quick ();

@@ -34,47 +34,17 @@ let with_config c f =
       Joincost.set_mode join0)
     f
 
-(* A runnable query: its name, its context seed, and a function that
-   shares its dataset into a context and returns the validating run. *)
-type query = { name : string; seed : int; prepare : Ctx.t -> unit -> bool }
-
-(* Dataset seeds and sizes match the certifier's: every query is known to
-   be non-degenerate (nonempty result) at these sizes. *)
-let queries ~sf ~other_n =
-  let plain = Tpch_gen.generate ~seed:99 sf in
-  let oplain = Other_gen.generate ~seed:31 other_n in
-  List.map
-    (fun (q : Tpch.query) ->
-      let prepare ctx =
-        let mdb = Tpch_gen.share ctx plain in
-        fun () ->
-          let ok, _, _ = Tpch.validate q plain mdb in
-          ok
-      in
-      { name = q.Tpch.name; seed = 5; prepare })
-    Tpch.all
-  @ List.map
-      (fun (q : Other_queries.query) ->
-        let prepare ctx =
-          let mdb = Other_gen.share ctx oplain in
-          fun () ->
-            let ok, _, _ = Other_queries.validate q oplain mdb in
-            ok
-        in
-        { name = q.Other_queries.name; seed = 13; prepare })
-      Other_queries.all
-
-let run_cell kind q c =
+let run_cell kind data (e : Workload.t) c =
   with_config c (fun () ->
       Joincost.reset_log ();
-      let ctx = Ctx.create ~seed:q.seed kind in
-      let validate = q.prepare ctx in
+      let ctx = Ctx.create ~seed:(Workload.ctx_seed e) kind in
+      let q = e.prepare data ctx in
       let before = Comm.snapshot ctx.Ctx.comm in
       let t0 = Unix.gettimeofday () in
-      let ok = validate () in
+      let ok, _, _ = q.Workload.validate () in
       let wall_s = Unix.gettimeofday () -. t0 in
       {
-        query = q.name;
+        query = e.name;
         proto = Ctx.kind_label kind;
         config = c.label;
         ok;
@@ -119,10 +89,11 @@ let run ~quick ~sf ~other_n () =
        (String.concat "," (List.map Ctx.kind_label kinds))
        sf other_n
        (if quick then ", quick" else ""));
+  let data = Workload.suite_data ~sf ~n:other_n () in
   let qs =
     List.filter
-      (fun q -> (not quick) || List.mem q.name quick_queries)
-      (queries ~sf ~other_n)
+      (fun (e : Workload.t) -> (not quick) || List.mem e.name quick_queries)
+      Workload.suite
   in
   hdr "%-12s %-7s %-11s %9s %12s %7s %10s %8s  %s" "query" "proto" "config"
     "rounds" "bits" "msgs" "WAN-net" "wall" "joins";
@@ -133,7 +104,7 @@ let run ~quick ~sf ~other_n () =
           (fun q ->
             List.map
               (fun c ->
-                let r = run_cell kind q c in
+                let r = run_cell kind data q c in
                 hdr "%-12s %-7s %-11s %9d %12d %7d %10s %8s  %s%s" r.query
                   r.proto r.config r.tally.Comm.t_rounds r.tally.Comm.t_bits
                   r.tally.Comm.t_messages
@@ -142,7 +113,7 @@ let run ~quick ~sf ~other_n () =
                   (String.concat "," r.joins)
                   (if r.ok then "" else "  INVALID");
                 r)
-              (configs_for q.name))
+              (configs_for q.Workload.name))
           qs)
       kinds
   in

@@ -48,55 +48,6 @@ let print_local_memory () =
       (Orq_util.Chunkvec.rss_peak_kb ())
   end
 
-type runnable = {
-  r_name : string;
-  r_run : Ctx.t -> float -> int -> Orq_core.Table.t * (unit -> bool);
-}
-
-let runnables : runnable list =
-  List.map
-    (fun (q : Tpch.query) ->
-      {
-        r_name = q.Tpch.name;
-        r_run =
-          (fun ctx sf _n ->
-            let plain = Tpch_gen.generate sf in
-            let mdb = Tpch_gen.share ctx plain in
-            ( q.Tpch.run mdb,
-              fun () ->
-                let ok, _, _ = Tpch.validate q plain mdb in
-                ok ));
-      })
-    Tpch.all
-  @ List.map
-      (fun (q : Other_queries.query) ->
-        {
-          r_name = q.Other_queries.name;
-          r_run =
-            (fun ctx _sf n ->
-              let plain = Other_gen.generate n in
-              let mdb = Other_gen.share ctx plain in
-              ( q.Other_queries.run mdb,
-                fun () ->
-                  let ok, _, _ = Other_queries.validate q plain mdb in
-                  ok ));
-        })
-      Other_queries.all
-  @ List.map
-      (fun (q : Secretflow_queries.query) ->
-        {
-          r_name = q.Secretflow_queries.name;
-          r_run =
-            (fun ctx sf _n ->
-              let plain = Tpch_gen.generate sf in
-              let mdb = Tpch_gen.share ctx plain in
-              ( q.Secretflow_queries.run mdb,
-                fun () ->
-                  let ok, _, _ = Secretflow_queries.validate q plain mdb in
-                  ok ));
-        })
-      Secretflow_queries.all
-
 let protocol_of_string s =
   match Service.proto_of_label s with
   | Ok k -> Ok k
@@ -174,17 +125,18 @@ let run_sql sql proto sf profile =
       0
 
 let run_registered query proto sf n profile validate =
-    match List.find_opt (fun r -> r.r_name = query) runnables with
-    | None ->
+    match Workload.find query with
+    | exception Not_found ->
         Printf.eprintf "unknown query %s (try --list)\n" query;
         1
-    | Some r ->
+    | e ->
         let ctx = Ctx.create proto in
         start_trace ctx;
         Printf.printf "running %s under %s (%d parties)...\n%!" query
           (Ctx.kind_label proto) ctx.Ctx.parties;
         let t0 = Unix.gettimeofday () in
-        let result, check = r.r_run ctx sf n in
+        let q = e.Workload.prepare (Workload.data ~sf ~n ()) ctx in
+        let result = q.Workload.run () in
         let compute = Unix.gettimeofday () -. t0 in
         let opened = Orq_core.Table.reveal result in
         let tally = Orq_net.Comm.snapshot ctx.Ctx.comm in
@@ -211,22 +163,21 @@ let run_registered query proto sf n profile validate =
           (compute +. Netsim.network_time profile tally);
         print_local_memory ();
         dump_trace ctx;
-        if validate then
-          if check () then begin
-            print_endline "validation against plaintext engine: OK";
-            0
-          end
-          else begin
-            print_endline "validation against plaintext engine: MISMATCH";
-            1
-          end
-        else 0
+        if not validate then 0
+        else
+          let ok, _, _ = q.Workload.validate () in
+          print_endline
+            ("validation against plaintext engine: "
+            ^ if ok then "OK" else "MISMATCH");
+          if ok then 0 else 1
 
 
 let run list_only query sql proto sf n profile validate =
   if list_only then begin
     print_endline "available queries:";
-    List.iter (fun r -> Printf.printf "  %s\n" r.r_name) runnables;
+    List.iter
+      (fun (e : Workload.t) -> Printf.printf "  %s\n" e.name)
+      Workload.all;
     0
   end
   else

@@ -230,7 +230,9 @@ let () =
   match Array.to_list Sys.argv with
   | _ :: "certify" :: rest ->
       let quick = ref false in
-      let sf = ref 0.0002 and n = ref 400 and out = ref "CERTIFICATE.json" in
+      let sf = ref Orq_workloads.Workload.suite_sf
+      and n = ref Orq_workloads.Workload.suite_n
+      and out = ref "CERTIFICATE.json" in
       let rec parse = function
         | [] -> ()
         | "--quick" :: r -> quick := true; parse r

@@ -36,15 +36,18 @@ let () =
   Printf.printf "protocol: %s (%d computing parties)\n%!"
     (Ctx.kind_label ctx.Ctx.kind) ctx.Ctx.parties;
 
-  let plain = Other_gen.generate 800 in
-  let db = Other_gen.share ctx plain in
+  let data = Workload.data ~n:800 () in
+  let plain = Lazy.force data.Workload.other in
+  let nrows = Orq_plaintext.Ptable.nrows in
   Printf.printf "shared: %d diagnosis rows, %d medication rows, cohort of %d\n%!"
-    (Orq_core.Table.nrows db.Other_gen.m_diagnosis)
-    (Orq_core.Table.nrows db.Other_gen.m_medication)
-    (Orq_core.Table.nrows db.Other_gen.m_cohort);
+    (nrows plain.Other_gen.diagnosis)
+    (nrows plain.Other_gen.medication)
+    (nrows plain.Other_gen.cohort);
+  (* each analysis secret-shares the hospitals' tables into the context *)
+  let run name = ((Workload.find name).Workload.prepare data ctx).Workload.run () in
 
   (* 1. Comorbidity *)
-  let top = (Other_queries.find "Comorbidity").Other_queries.run db in
+  let top = run "Comorbidity" in
   Printf.printf "\ntop diagnoses in cohort (diag, count):\n";
   List.iter
     (fun row ->
@@ -54,14 +57,14 @@ let () =
     (reveal_rows ~sort_desc_by:1 top [ "diag"; "cnt" ]);
 
   (* 2. Aspirin *)
-  let asp = (Other_queries.find "Aspirin").Other_queries.run db in
+  let asp = run "Aspirin" in
   (match reveal_rows asp [ "patients" ] with
   | [ [ n ] ] ->
       Printf.printf "\npatients on aspirin after heart-disease diagnosis: %d\n" n
   | _ -> ());
 
   (* 3. C.Diff recurrence *)
-  let cd = (Other_queries.find "C.Diff").Other_queries.run db in
+  let cd = run "C.Diff" in
   (match reveal_rows cd [ "patients" ] with
   | [ [ n ] ] -> Printf.printf "patients with recurring C.Diff: %d\n" n
   | _ -> ());
@@ -72,7 +75,7 @@ let () =
      Ctx.with_tamper ctx
        (fun ~party ~op -> if party = 2 && op = "mul" then Some 1 else None)
        (fun () ->
-         ignore ((Other_queries.find "Comorbidity").Other_queries.run db))
+         ignore (run "Comorbidity"))
    with Ctx.Abort msg -> Printf.printf "aborted as expected: %s\n" msg);
 
   let tally = Orq_net.Comm.snapshot ctx.Ctx.comm in

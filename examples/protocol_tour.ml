@@ -14,19 +14,19 @@ open Orq_workloads
 module Netsim = Orq_net.Netsim
 
 (* the query: market share per company over jointly held transactions *)
-let market_share db = (Other_queries.find "MarketShare").Other_queries.run db
+let market_share = Workload.find "MarketShare"
 
 let () =
-  let plain = Other_gen.generate 600 in
+  let data = Workload.data ~n:600 () in
   Printf.printf "%-8s %-8s %10s %10s %12s %12s %12s\n" "proto" "parties"
     "rounds" "MiB" "est-LAN" "est-WAN" "est-GEO";
   let results =
     List.map
       (fun kind ->
         let ctx = Ctx.create kind in
-        let db = Other_gen.share ctx plain in
+        let q = market_share.Workload.prepare data ctx in
         let t0 = Unix.gettimeofday () in
-        let res = market_share db in
+        let res = q.Workload.run () in
         let compute = Unix.gettimeofday () -. t0 in
         let tally = Orq_net.Comm.snapshot ctx.Ctx.comm in
         let est p = compute +. Netsim.network_time p tally in
@@ -56,13 +56,13 @@ let () =
   List.iter
     (fun kind ->
       let ctx = Ctx.create kind in
-      let db = Other_gen.share ctx plain in
+      let q = market_share.Workload.prepare data ctx in
       let outcome =
         try
           Ctx.with_tamper ctx
             (fun ~party ~op ->
               if party = 0 && op = "mul" then Some 42 else None)
-            (fun () -> ignore (market_share db));
+            (fun () -> ignore (q.Workload.run ()));
           "ran (semi-honest: undetected)"
         with Ctx.Abort _ -> "ABORTED (detected)"
       in

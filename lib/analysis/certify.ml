@@ -188,45 +188,32 @@ let certify_one ~query ~kind ~(measured : Ctx.t -> bool) ~(predicted : Ctx.t -> 
 (* The 31-query suite                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Certify the full workload (22 TPC-H + 9 prior-work queries) under the
-    given protocols. [names] restricts the query set (quick mode). *)
-let run_suite ?(sf = 0.0002) ?(other_n = 400) ?(kinds = Ctx.all_kinds)
+(** Certify the full workload (22 TPC-H + 9 prior-work queries, over the
+    canonical suite dataset) under the given protocols. [names] restricts
+    the query set (quick mode). *)
+let run_suite ?sf ?other_n ?(kinds = Ctx.all_kinds)
     ?(names : string list option) () : cert list =
-  let keep n = match names with None -> true | Some ns -> List.mem n ns in
-  let plain = Tpch_gen.generate ~seed:99 sf in
-  let twin = twin_tpch plain in
-  let oplain = Other_gen.generate ~seed:31 other_n in
-  let otwin = twin_other oplain in
+  let keep (e : Workload.t) =
+    match names with None -> true | Some ns -> List.mem e.name ns
+  in
+  let data = Workload.suite_data ?sf ?n:other_n () in
+  let twin =
+    {
+      Workload.tpch = lazy (twin_tpch (Lazy.force data.Workload.tpch));
+      other = lazy (twin_other (Lazy.force data.Workload.other));
+    }
+  in
+  let entries = List.filter keep Workload.suite in
   List.concat_map
     (fun kind ->
-      List.filter_map
-        (fun (q : Tpch.query) ->
-          if not (keep q.Tpch.name) then None
-          else
-            Some
-              (certify_one ~query:q.Tpch.name ~kind
-                 ~measured:(fun ctx ->
-                   let mdb = Tpch_gen.share ctx plain in
-                   let ok, _, _ = Tpch.validate q plain mdb in
-                   ok)
-                 ~predicted:(fun ctx ->
-                   let mdb = Tpch_gen.share ctx twin in
-                   ignore (q.Tpch.run mdb))))
-        Tpch.all
-      @ List.filter_map
-          (fun (q : Other_queries.query) ->
-            if not (keep q.Other_queries.name) then None
-            else
-              Some
-                (certify_one ~query:q.Other_queries.name ~kind
-                   ~measured:(fun ctx ->
-                     let mdb = Other_gen.share ctx oplain in
-                     let ok, _, _ = Other_queries.validate q oplain mdb in
-                     ok)
-                   ~predicted:(fun ctx ->
-                     let mdb = Other_gen.share ctx otwin in
-                     ignore (q.Other_queries.run mdb))))
-          Other_queries.all)
+      List.map
+        (fun (e : Workload.t) ->
+          certify_one ~query:e.name ~kind
+            ~measured:(fun ctx ->
+              let ok, _, _ = (e.prepare data ctx).Workload.validate () in
+              ok)
+            ~predicted:(fun ctx -> ignore ((e.prepare twin ctx).Workload.run ())))
+        entries)
     kinds
 
 let all_ok certs = List.for_all (fun c -> c.c_ok && c.c_validated) certs
@@ -238,7 +225,8 @@ let pp_cert ppf c =
     (if c.c_detail = "" then "" else "\n    " ^ c.c_detail)
 
 (** The certificate report uploaded by CI. *)
-let report_json ?(sf = 0.0002) ?(other_n = 400) (certs : cert list) :
+let report_json ?(sf = Workload.suite_sf) ?(other_n = Workload.suite_n)
+    (certs : cert list) :
     Orq_util.Json.t =
   let open Orq_util.Json in
   let row c =

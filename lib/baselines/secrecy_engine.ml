@@ -25,47 +25,12 @@ let product_indices n m =
   (li, ri)
 
 (** Quadratic oblivious inner join: the output physically holds all n*m
-    pairs; a secret equality bit per pair is its validity. *)
+    pairs; a secret equality bit per pair is its validity. The circuit is
+    {!Linjoin.quad}'s, carrying every left column. *)
 let nested_join (ctx : Ctx.t) (left : Table.t) (right : Table.t)
     ~(on : string list) : Table.t =
-  let n = Table.nrows left and m = Table.nrows right in
-  let li, ri = product_indices n m in
-  let expand_l s = Share.gather s li and expand_r s = Share.gather s ri in
-  let eq =
-    Compare.eq_composite ctx
-      (List.map
-         (fun k ->
-           let w = max (Table.width left k) (Table.width right k) in
-           ( expand_l (Column.as_bool ctx (Table.find left k)),
-             expand_r (Column.as_bool ctx (Table.find right k)),
-             w ))
-         on)
-  in
-  let valid =
-    Mpc.band1 ctx
-      (Mpc.band1 ctx (expand_l left.Table.valid) (expand_r right.Table.valid))
-      eq
-  in
-  let cols =
-    List.map
-      (fun k ->
-        let c = Table.find left k in
-        (k, Column.with_data c (expand_l (Column.as_bool ctx c))))
-      on
-    @ List.filter_map
-        (fun (name, c) ->
-          if List.mem name on then None
-          else
-            Some (name, Column.with_data c (expand_l (Column.as_bool ctx c))))
-        left.Table.cols
-    @ List.filter_map
-        (fun (name, c) ->
-          if List.mem name on then None
-          else
-            Some (name, Column.with_data c (expand_r (Column.as_bool ctx c))))
-        right.Table.cols
-  in
-  Table.of_columns ctx "nested_join" ~valid cols
+  let copy = List.filter (fun c -> not (List.mem c on)) (Table.col_names left) in
+  Linjoin.quad ctx ~copy ~left ~right ~on ()
 
 (** Quadratic oblivious semi-join: left rows keep an OR over the m
     per-pair equality bits. *)

@@ -223,6 +223,10 @@ let finalize (ctx : Ctx.t) ~name ~(valid : Share.shared)
     operator. [copy] names left columns to propagate into matching right
     rows; [aggs] are decomposable aggregations evaluated on the join key
     groups (their results land in the last row of each group). *)
+(* An output column carries its source column's signedness. *)
+let out_col (src : Table.t) name w d =
+  Column.of_shared ~signed:(Table.find src name).Column.signed ~width:w d
+
 let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
     ?(aggs : agg_spec list = []) ?(trim : trim_mode = `Auto)
     ~(left : Table.t) ~(right : Table.t) ~(on : string list) () : Table.t =
@@ -293,10 +297,10 @@ let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
       results
   in
   let out_cols =
-    List.map2 (fun (k, w) name -> (name, Column.of_shared ~width:w k)) keys' on
-    @ List.map (fun (name, d, w) -> (name, Column.of_shared ~width:w d)) p.p_r_cols
+    List.map2 (fun (k, w) name -> (name, out_col right name w k)) keys' on
+    @ List.map (fun (name, d, w) -> (name, out_col right name w d)) p.p_r_cols
     @ List.map2
-        (fun (name, _, w) d -> (name, Column.of_shared ~width:w d))
+        (fun (name, _, w) d -> (name, out_col left name w d))
         copy_specs copied
     @
     (* all Sum finishers convert through one fused A2B *)
@@ -388,17 +392,15 @@ let join_unique (ctx : Ctx.t) ?(copy : string list = [])
         List.map2
           (fun (cname, w, _, prev) muxed_col ->
             ( cname,
-              Column.of_shared ~width:w
+              out_col left cname w
                 (Share.append (Share.sub_range prev 0 1) muxed_col) ))
           pairs muxed
   in
   let out_cols =
     List.map2
-      (fun (k, w) name -> (name, Column.of_shared ~width:w k))
+      (fun (k, w) name -> (name, out_col right name w k))
       p.p_keys on
-    @ List.map
-        (fun (name, d, w) -> (name, Column.of_shared ~width:w d))
-        p.p_r_cols
+    @ List.map (fun (name, d, w) -> (name, out_col right name w d)) p.p_r_cols
     @ copied
   in
   let bound = min n m in

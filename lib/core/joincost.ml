@@ -1,7 +1,7 @@
 (** Cost-based physical join selection — see the interface for the
     contract. The closed forms below are planning estimates built from the
-    same per-primitive lane costs the metering layer charges (one
-    multiplication round, one opening, one sharded-permutation pass); they
+    per-primitive forms of {!Orq_proto.Costmodel} (one multiplication
+    round, one opening, one sharded-permutation pass); they
     only ever see public shape, so selection is a deterministic function
     of (protocol, shape, mode, profile) and the transcript certifier's
     shape-twin run picks the same operator as the measured run.
@@ -106,41 +106,17 @@ let scale k (a : Comm.tally) =
     t_messages = k * a.Comm.t_messages;
   }
 
-let hash_bits = 256 (* Mal-HM digest size, matches Mpc.hash_bits *)
+(* One fused multiplication/AND round, one opening round, one
+   sharded-permutation application (Table 1 totals) and the equality
+   ladder, each over n elements of w bits: the primitive forms the
+   metering layer charges, from the one cost table. *)
+let mul_t kind ~w ~n = Costmodel.tally_of (Costmodel.mul_events kind ~w ~n)
+let open_t kind ~w ~n = Costmodel.tally_of (Costmodel.open_events kind ~w ~n)
 
-(* One fused multiplication/AND round over n elements of w bits. *)
-let mul_t kind ~w ~n =
-  match kind with
-  | Ctx.Sh_dm -> tally ~rounds:1 ~bits:(4 * w * n) ~messages:2
-  | Ctx.Sh_hm -> tally ~rounds:1 ~bits:(3 * w * n) ~messages:3
-  | Ctx.Mal_hm -> tally ~rounds:1 ~bits:(12 * w * n) ~messages:12
-
-(* One opening round over n elements of w bits. *)
-let open_t kind ~w ~n =
-  match kind with
-  | Ctx.Sh_dm -> tally ~rounds:1 ~bits:(2 * w * n) ~messages:2
-  | Ctx.Sh_hm -> tally ~rounds:1 ~bits:(3 * w * n) ~messages:3
-  | Ctx.Mal_hm ->
-      tally ~rounds:1 ~bits:(4 * ((w * n) + hash_bits)) ~messages:8
-
-(* One sharded-permutation application over n elements of w bits
-   (Table 1 totals). *)
 let shuffle_t kind ~w ~n =
-  match kind with
-  | Ctx.Sh_dm -> tally ~rounds:2 ~bits:(2 * w * n) ~messages:2
-  | Ctx.Sh_hm -> tally ~rounds:3 ~bits:(6 * w * n) ~messages:6
-  | Ctx.Mal_hm -> tally ~rounds:4 ~bits:(24 * w * n) ~messages:12
+  Costmodel.tally_of (Costmodel.shuffle_events kind ~w ~n)
 
-(* The equality ladder over w-bit keys: XOR locally then a logarithmic
-   OR-fold — lg w rounds at halving stride widths (≈ w total bits). *)
-let eq_t kind ~w ~n =
-  let t = ref (tally ~rounds:0 ~bits:0 ~messages:0) in
-  let s = ref (Ring.next_pow2 w / 2) in
-  while !s > 0 do
-    t := !t ++ mul_t kind ~w:(max 1 !s) ~n;
-    s := !s / 2
-  done;
-  !t
+let eq_t kind ~w ~n = Costmodel.tally_of (Costmodel.eq_events kind ~w ~n)
 
 (* ------------------------------------------------------------------ *)
 (* Candidate operator estimates                                        *)

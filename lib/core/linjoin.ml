@@ -164,7 +164,7 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
           | Some w -> w
           | None -> c.Column.width
         in
-        (name, Column.of_shared ~width:w d))
+        (name, Column.of_shared ~signed:c.Column.signed ~width:w d))
       right.Table.cols probe_data'
   in
   let key_cols, pay_cols =
@@ -174,8 +174,7 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
   let copy_out =
     List.map2
       (fun name d ->
-        let w = (Table.find left name).Column.width in
-        (name, Column.of_shared ~width:w (Share.gather d gidx)))
+        (name, Column.with_data (Table.find left name) (Share.gather d gidx)))
       copy copied'
   in
   Table.of_columns ctx
@@ -191,19 +190,22 @@ let quad (ctx : Ctx.t) ?(copy : string list = []) ~(left : Table.t)
     ~(right : Table.t) ~(on : string list) () : Table.t =
   Ctx.with_label ctx "quadjoin" @@ fun () ->
   let n = Table.nrows left and m = Table.nrows right in
-  if n = 0 || m = 0 then invalid_arg "Linjoin.quad: empty input";
   let p = n * m in
   let li = Array.init p (fun t -> t / m) and ri = Array.init p (fun t -> t mod m) in
   let widths =
     List.map (fun k -> max (Table.width left k) (Table.width right k)) on
   in
+  (* every column is converted to boolean once: a right key's bits feed
+     both the equality ladder and its output column *)
+  let right_bits =
+    List.map (fun (name, c) -> (name, Column.as_bool ctx c)) right.Table.cols
+  in
   let eq =
     Orq_circuits.Compare.eq_composite ctx
       (List.map2
          (fun k w ->
-           ( Share.gather (Column.as_bool ctx (Table.find left k)) li,
-             Share.gather (Column.as_bool ctx (Table.find right k)) ri,
-             w ))
+           let l = Column.as_bool ctx (Table.find left k) in
+           (Share.gather l li, Share.gather (List.assoc k right_bits) ri, w))
          on widths)
   in
   let vv =
@@ -212,17 +214,18 @@ let quad (ctx : Ctx.t) ?(copy : string list = []) ~(left : Table.t)
       (Share.gather right.Table.valid ri)
   in
   let valid_out = Mpc.band1 ctx vv eq in
-  let key_w = List.combine on widths in
   let right_cols =
-    List.map
-      (fun (name, c) ->
+    List.map2
+      (fun (name, c) (_, d) ->
+        (* a matched pair's key equals both sides', so it fits the
+           narrower of the two widths *)
         let w =
-          match List.assoc_opt name key_w with
-          | Some w -> w
-          | None -> c.Column.width
+          if List.mem name on then min c.Column.width (Table.width left name)
+          else c.Column.width
         in
-        (name, Column.of_shared ~width:w (Share.gather (Column.as_bool ctx c) ri)))
-      right.Table.cols
+        ( name,
+          Column.of_shared ~signed:c.Column.signed ~width:w (Share.gather d ri) ))
+      right.Table.cols right_bits
   in
   let key_cols, pay_cols =
     List.partition (fun (name, _) -> List.mem name on) right_cols
@@ -232,9 +235,7 @@ let quad (ctx : Ctx.t) ?(copy : string list = []) ~(left : Table.t)
     List.map
       (fun name ->
         let c = Table.find left name in
-        ( name,
-          Column.of_shared ~width:c.Column.width
-            (Share.gather (Column.as_bool ctx c) li) ))
+        (name, Column.with_data c (Share.gather (Column.as_bool ctx c) li)))
       copy
   in
   Table.of_columns ctx

@@ -77,7 +77,7 @@ let rec compile_need (st : stats) (need : string list) (n : node) : Table.t =
             (Printf.sprintf "%s \xe2\x8b\x88 %s (out-of-class)" l.Table.name
                r.Table.name)
           shape;
-        Orq_baselines.Secrecy_engine.nested_join (Table.ctx l) l r ~on:j.j_on
+        Linjoin.quad (Table.ctx l) ~copy ~left:l ~right:r ~on:j.j_on ()
       end
   | Aggregate a ->
       let srcs =

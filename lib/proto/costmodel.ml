@@ -1,30 +1,7 @@
-(** Symbolic cost model: the predicted communication transcript of each MPC
-    primitive as a closed-form function of {b public shape only} — protocol
-    kind, bit width [w], and element count [n]. Nothing here ever sees a
-    share or a value.
+(* Closed-form per-primitive transcripts; see the interface. *)
 
-    The formulas mirror the protocol analyses the metering layer implements
-    (ABY / Araki / Fantastic Four; Appendix A): an opening moves each
-    [w·n]-bit share vector once per receiving party (plus digests under
-    Mal-HM's redundant delivery), a multiplication/AND is one round of
-    masked-difference exchange, comparisons are the fused logarithmic
-    ladders of §B, and a sharded-permutation application pays the Table-1
-    per-pass totals. {!Orq_analysis.Certify} and [test_analysis] assert
-    these predictions are event-identical to the recorded transcripts —
-    if an implementation change makes a primitive's trace depend on
-    anything beyond (kind, w, n), the certificate breaks.
-
-    Whole-plan predictions compose these primitive transcripts by evaluating
-    the engine's own operator control flow — which the lint guarantees is
-    shape-directed outside the audited sites — on a shape twin of the input
-    (see {!Certify.twin_tpch}); the per-primitive forms below are the base
-    case that makes that evaluation a cost semantics rather than a
-    measurement. *)
-
-open Orq_proto
 module Comm = Orq_net.Comm
 
-let hash_bits = 256 (* Mal-HM digest size, must match Mpc.hash_bits *)
 let ring_bits = 64 (* metered ring width, must match Ctx.create's ell *)
 
 (* One fused lane of multiplication/AND traffic (bits, messages). *)
@@ -39,7 +16,7 @@ let open_lane kind ~w ~n =
   match kind with
   | Ctx.Sh_dm -> (2 * w * n, 2)
   | Ctx.Sh_hm -> (3 * w * n, 3)
-  | Ctx.Mal_hm -> (4 * ((w * n) + hash_bits), 8)
+  | Ctx.Mal_hm -> (4 * ((w * n) + Mpc.hash_bits), 8)
 
 let round_ev (bits, messages) =
   {
@@ -126,45 +103,3 @@ let tally_of (evs : Comm.event array) : Comm.tally =
         t_messages = t.Comm.t_messages + e.Comm.ev_messages;
       })
     Comm.zero_tally evs
-
-(* ------------------------------------------------------------------ *)
-(* Physical join candidates                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** The planner-facing face of the cost model: closed-form (rounds, bits,
-    messages) per candidate physical join operator, as a function of
-    public node shape only. The forms themselves live next to the
-    operators in {!Orq_core.Joincost} — where {!Orq_core.Dataflow} prices
-    every join node before executing the winner — and are re-exported
-    here so analysis tooling prices plans through one module. *)
-module Join = struct
-  type op = Orq_core.Joincost.op = Sort | Linear | Quad
-
-  type shape = Orq_core.Joincost.shape = {
-    j_n : int;
-    j_m : int;
-    j_key_w : int list;
-    j_copy_w : int list;
-    j_pay_w : int list;
-    j_aggs : bool;
-    j_bounded : bool;
-    j_variant : Orq_core.Joincost.variant;
-  }
-
-  let applicable = Orq_core.Joincost.applicable
-  let predict = Orq_core.Joincost.predict
-  let seconds = Orq_core.Joincost.seconds
-  let choose = Orq_core.Joincost.choose
-
-  (** Every applicable candidate with its predicted tally and modeled
-      network seconds under the active pacing profile, cheapest first. *)
-  let rank ctx shape =
-    List.filter_map
-      (fun op ->
-        if applicable ctx shape op then
-          let t = predict ctx shape op in
-          Some (op, t, seconds t)
-        else None)
-      [ Sort; Linear; Quad ]
-    |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
-end

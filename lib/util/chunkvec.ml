@@ -443,18 +443,6 @@ let get t i =
   if i < 0 || i >= t.n then invalid_arg "Chunkvec.get";
   with_chunk t (i / t.rows) (fun a -> a.(i mod t.rows))
 
-let equal a b =
-  a.n = b.n
-  &&
-  let ok = ref true in
-  iter_chunks a (fun i ca ->
-      if !ok then
-        let base = chunk_base a i in
-        for j = 0 to Array.length ca - 1 do
-          if !ok && get b (base + j) <> ca.(j) then ok := false
-        done);
-  !ok
-
 (* Derived vectors keep the source's granularity and tracking, so the
    wrapped-monolithic path stays single-chunk end to end. *)
 let like_builder t total =

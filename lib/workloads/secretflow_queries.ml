@@ -8,13 +8,6 @@ open Tpch_util
 open Tpch_params
 module G = Tpch_gen
 
-type query = {
-  name : string;
-  run : G.mpc -> Orq_core.Table.t;
-  reference : G.plain -> P.t;
-  compare_cols : string list;
-}
-
 (* S1: filtered global revenue (no join, no sort) *)
 let s1_run (db : G.mpc) =
   let li = D.filter db.G.m_lineitem E.(col "l_shipdate" >=. const q6_date) in
@@ -38,9 +31,7 @@ let s2_run (db : G.mpc) =
   D.global_aggregate li
     ~aggs:
       [
-        cnt "l_quantity" "n";
-        { D.src = "l_extendedprice"; dst = "hi"; fn = D.Max };
-        { D.src = "l_extendedprice"; dst = "lo"; fn = D.Min };
+        cnt "l_quantity" "n"; mx "l_extendedprice" "hi"; mn "l_extendedprice" "lo";
       ]
 
 let s2_ref (db : G.plain) =
@@ -104,32 +95,12 @@ let s5_ref (db : G.plain) =
     ~keys:[ "l_returnflag"; "l_shipmode" ]
     ~aggs:[ psum "l_extendedprice" "total"; pcnt "l_extendedprice" "n" ]
 
-let all : query list =
+let all : (G.mpc, G.plain) Query.t list =
   [
-    { name = "S1"; run = s1_run; reference = s1_ref; compare_cols = [ "total" ] };
-    { name = "S2"; run = s2_run; reference = s2_ref; compare_cols = [ "n"; "hi"; "lo" ] };
-    { name = "S3"; run = s3_run; reference = s3_ref; compare_cols = [ "total" ] };
-    { name = "S4"; run = s4_run; reference = s4_ref;
-      compare_cols = [ "o_orderpriority"; "qty" ] };
-    { name = "S5"; run = s5_run; reference = s5_ref;
-      compare_cols = [ "l_returnflag"; "l_shipmode"; "total"; "n" ] };
+    Query.make "S1" ~run:s1_run ~reference:s1_ref [ "total" ];
+    Query.make "S2" ~run:s2_run ~reference:s2_ref [ "n"; "hi"; "lo" ];
+    Query.make "S3" ~run:s3_run ~reference:s3_ref [ "total" ];
+    Query.make "S4" ~run:s4_run ~reference:s4_ref [ "o_orderpriority"; "qty" ];
+    Query.make "S5" ~run:s5_run ~reference:s5_ref
+      [ "l_returnflag"; "l_shipmode"; "total"; "n" ];
   ]
-
-let find name = List.find (fun q -> q.name = name) all
-
-let validate (q : query) (plain : G.plain) (mdb : G.mpc) :
-    bool * int list list * int list list =
-  let result = q.run mdb in
-  let widths =
-    List.map (fun c -> Orq_core.Table.width result c) q.compare_cols
-  in
-  let mask_row row =
-    List.map2 (fun v w -> v land Orq_util.Ring.mask w) row widths
-  in
-  let mpc_rows =
-    List.map mask_row (Orq_core.Table.valid_rows_sorted result q.compare_cols)
-  in
-  let ref_rows =
-    List.map mask_row (P.rows_sorted (q.reference plain) q.compare_cols)
-  in
-  (mpc_rows = ref_rows, mpc_rows, ref_rows)

@@ -2,16 +2,4 @@
     (Figure 5 right): S1/S2 single-table filter-aggregates, S3/S4 PK-FK
     joins with aggregation, S5 an oblivious group-by. *)
 
-type query = {
-  name : string;
-  run : Tpch_gen.mpc -> Orq_core.Table.t;
-  reference : Tpch_gen.plain -> Orq_plaintext.Ptable.t;
-  compare_cols : string list;
-}
-
-val all : query list
-val find : string -> query
-
-val validate :
-  query -> Tpch_gen.plain -> Tpch_gen.mpc ->
-  bool * int list list * int list list
+val all : (Tpch_gen.mpc, Tpch_gen.plain) Query.t list

@@ -1,23 +1,10 @@
 (** Registry of the TPC-H workload: all 22 queries, each as an MPC
-    dataflow plan plus its plaintext reference, with the result columns
-    used for validation (the paper validates every query against SQLite,
-    §5.1). *)
+    dataflow plan plus its plaintext reference, with its declared result
+    columns (the paper validates every query against SQLite, §5.1). *)
 
-type query = {
-  name : string;
-  run : Tpch_gen.mpc -> Orq_core.Table.t;
-  reference : Tpch_gen.plain -> Orq_plaintext.Ptable.t;
-  compare_cols : string list;
-}
+type query = (Tpch_gen.mpc, Tpch_gen.plain) Query.t
 
 val all : query list
 
 val find : string -> query
 (** @raise Not_found for unknown names ("Q1".."Q22"). *)
-
-val validate :
-  query -> Tpch_gen.plain -> Tpch_gen.mpc ->
-  bool * int list list * int list list
-(** Run the query under MPC and in the plaintext engine; compare valid
-    rows masked to the MPC column widths (signed aggregates are two's
-    complement at their width). Returns (ok, mpc rows, reference rows). *)

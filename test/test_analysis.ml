@@ -6,7 +6,6 @@ open Orq_proto
 module Comm = Orq_net.Comm
 module Lint = Orq_analysis.Lint
 module Declass = Orq_analysis.Declass
-module Costmodel = Orq_analysis.Costmodel
 module Certify = Orq_analysis.Certify
 
 let event_t = Alcotest.testable Comm.pp_event Comm.event_equal

@@ -102,6 +102,33 @@ let test_linear_respects_validity () =
       Alcotest.(check rows_t) "invalid rows never match"
         (run Joincost.Sort) (run Joincost.Linear))
 
+(* Signed columns (differences from a map) keep their sign through every
+   join operator, on the probe side and in the copied build columns:
+   ORDER BY reads the flag. Unsigned, the negative rows would sort last. *)
+let test_signed_columns_keep_sign () =
+  for_all_kinds (fun ctx ->
+      let c = Dataflow.map (customers ctx) ~dst:"Adj" Expr.(col "Nation" -! const 2) in
+      let o = Dataflow.map (orders ctx) ~dst:"Delta" Expr.(col "Price" -! const 60) in
+      let first2 op order =
+        forced op (fun () ->
+            let j = Dataflow.inner_join c o ~on:[ "CustKey" ] ~copy:[ "Adj" ] in
+            Table.valid_rows_sorted
+              (Dataflow.limit (Dataflow.order_by j order) 2)
+              [ "CustKey"; "Price" ])
+      in
+      List.iter
+        (fun op ->
+          let label = Joincost.op_label op in
+          (* Delta = -50, -40 on customer 2's two cheapest orders *)
+          Alcotest.(check rows_t) (label ^ ": signed probe column")
+            [ [ 2; 10 ]; [ 2; 20 ] ]
+            (first2 op [ ("Delta", Dataflow.Asc) ]);
+          (* Adj = -1 only for customer 2 (Nation 1) *)
+          Alcotest.(check rows_t) (label ^ ": signed copy column")
+            [ [ 2; 10 ]; [ 2; 20 ] ]
+            (first2 op [ ("Adj", Dataflow.Asc); ("Price", Dataflow.Asc) ]))
+        [ Joincost.Sort; Joincost.Linear; Joincost.Quad ])
+
 let test_linear_composite_key () =
   for_all_kinds (fun ctx ->
       let l =
@@ -301,6 +328,8 @@ let () =
           Alcotest.test_case "inner no copy" `Quick test_linear_inner_no_copy;
           Alcotest.test_case "validity" `Quick test_linear_respects_validity;
           Alcotest.test_case "composite key" `Quick test_linear_composite_key;
+          Alcotest.test_case "signed columns" `Quick
+            test_signed_columns_keep_sign;
           Alcotest.test_case "semi+anti" `Quick test_linear_semi_anti;
           Alcotest.test_case "semi+anti duplicates" `Quick
             test_linear_semi_anti_duplicates;

@@ -1,79 +1,58 @@
 (* Validation of the nine queries from prior relational-MPC works against
    the plaintext reference engine, under the honest-majority protocol (plus
-   cross-protocol smoke tests). *)
+   cross-protocol smoke tests), and of the SecretFlow S1-S5 variants. *)
 
 open Orq_proto
 open Orq_workloads
 
-let n = 400
-let plain = lazy (Other_gen.generate ~seed:31 n)
+let pp_rows = Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
 
-let check kind qname () =
-  let plain = Lazy.force plain in
-  let ctx = Ctx.create ~seed:13 kind in
-  let mdb = Other_gen.share ctx plain in
-  let q = Other_queries.find qname in
-  let ok, mpc_rows, ref_rows = Other_queries.validate q plain mdb in
+let check ~data ~seed kind qname () =
+  let e = Workload.find qname in
+  let ctx = Ctx.create ~seed kind in
+  let ok, mpc_rows, ref_rows = (e.prepare data ctx).Workload.validate () in
   if not ok then
-    Alcotest.failf "%s mismatch:@.MPC: %a@.REF: %a" qname
-      Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
-      mpc_rows
-      Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
-      ref_rows
+    Alcotest.failf "%s mismatch:@.MPC: %a@.REF: %a" qname pp_rows mpc_rows
+      pp_rows ref_rows
 
-let nonempty qname () =
+let of_family f = List.filter (fun (e : Workload.t) -> e.family = f) Workload.all
+
+let data = Workload.suite_data ()
+let check_other = check ~data ~seed:13
+
+let nonempty (q : (_, _) Query.t) () =
   (* the chosen dataset sizes must make every query non-degenerate *)
-  let plain = Lazy.force plain in
-  let q = Other_queries.find qname in
-  let r = q.Other_queries.reference plain in
+  let r = q.reference (Lazy.force data.Workload.other) in
   Alcotest.(check bool)
-    (qname ^ " reference non-empty")
+    (q.name ^ " reference non-empty")
     true
     (Orq_plaintext.Ptable.nrows r > 0)
 
 let cases =
   List.concat_map
-    (fun (q : Other_queries.query) ->
+    (fun (q : (_, _) Query.t) ->
       [
-        Alcotest.test_case (q.Other_queries.name ^ " non-degenerate") `Quick
-          (nonempty q.Other_queries.name);
-        Alcotest.test_case (q.Other_queries.name ^ " [SH-HM]") `Slow
-          (check Ctx.Sh_hm q.Other_queries.name);
+        Alcotest.test_case (q.name ^ " non-degenerate") `Quick (nonempty q);
+        Alcotest.test_case (q.name ^ " [SH-HM]") `Slow
+          (check_other Ctx.Sh_hm q.name);
       ])
     Other_queries.all
 
 let cross =
   [
-    Alcotest.test_case "Comorbidity [SH-DM]" `Slow (check Ctx.Sh_dm "Comorbidity");
-    Alcotest.test_case "Comorbidity [Mal-HM]" `Slow (check Ctx.Mal_hm "Comorbidity");
-    Alcotest.test_case "Patients [SH-DM]" `Slow (check Ctx.Sh_dm "Patients");
+    Alcotest.test_case "Comorbidity [SH-DM]" `Slow (check_other Ctx.Sh_dm "Comorbidity");
+    Alcotest.test_case "Comorbidity [Mal-HM]" `Slow (check_other Ctx.Mal_hm "Comorbidity");
+    Alcotest.test_case "Patients [SH-DM]" `Slow (check_other Ctx.Sh_dm "Patients");
   ]
 
 (* SecretFlow S1-S5 variants, validated under SH-DM (the ABY-based setting
    they run in). *)
-let sf_plain = lazy (Tpch_gen.generate ~seed:21 0.0002)
-
-let check_sf qname () =
-  let plain = Lazy.force sf_plain in
-  let ctx = Ctx.create ~seed:3 Ctx.Sh_dm in
-  let mdb = Tpch_gen.share ctx plain in
-  let q = Secretflow_queries.find qname in
-  let ok, mpc_rows, ref_rows = Secretflow_queries.validate q plain mdb in
-  if not ok then
-    Alcotest.failf "%s mismatch:@.MPC: %a@.REF: %a" qname
-      Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
-      mpc_rows
-      Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
-      ref_rows
-
 let sf_cases =
+  let check_sf = check ~data:(Workload.data ~tpch_seed:21 ()) ~seed:3 Ctx.Sh_dm in
   List.map
-    (fun (q : Secretflow_queries.query) ->
-      Alcotest.test_case
-        (q.Secretflow_queries.name ^ " [SH-DM]")
-        `Slow
-        (check_sf q.Secretflow_queries.name))
-    Secretflow_queries.all
+    (fun (e : Workload.t) ->
+      Alcotest.test_case (e.name ^ " [SH-DM]") `Slow (check_sf e.name))
+    (of_family Workload.Secretflow)
 
 let () =
   Alcotest.run "orq_other_queries"

@@ -163,6 +163,28 @@ let test_quadratic_fallback () =
       [ 2; 20 ]; [ 2; 20 ]; [ 2; 20 ] ]
     (Table.valid_rows_sorted t [ "k"; "v" ])
 
+(* Signed map columns on either side of an out-of-class join keep their
+   sign through the fallback: ORDER BY reads the flag, so unsigned the
+   negative rows would sort last. *)
+let test_fallback_keeps_sign () =
+  let ctx = hm () in
+  let l, r = dup_tables ctx in
+  let l = Plan.map "e" Expr.(col "k" -! const 2) (Plan.scan l) in
+  let r = Plan.map "d" Expr.(col "v" -! const 15) (Plan.scan r) in
+  let first3 order =
+    let t, fb = Compile.run (Plan.top order 3 (Plan.join l r ~on:[ "k" ])) in
+    Alcotest.(check int) "fallback used" 1 fb;
+    Table.valid_rows_sorted t [ "k"; "v" ]
+  in
+  (* d = v - 15: -10 on both k = 1 pairs, then -5 on the v = 10 pairs *)
+  Alcotest.(check rows_t) "signed right column"
+    [ [ 1; 5 ]; [ 1; 5 ]; [ 2; 10 ] ]
+    (first3 [ ("d", Tablesort.Asc) ]);
+  (* e = k - 2: -1 on both k = 1 pairs, 0 on the rest *)
+  Alcotest.(check rows_t) "signed left column"
+    [ [ 1; 5 ]; [ 1; 5 ]; [ 2; 20 ] ]
+    (first3 [ ("e", Tablesort.Asc); ("v", Tablesort.Desc) ])
+
 (* ---------------- end-to-end Q3-shaped plan ---------------- *)
 
 let test_q3_shaped_plan () =
@@ -233,6 +255,8 @@ let suite =
     Alcotest.test_case "auto pre-aggregation (sum)" `Quick test_auto_preagg_sum;
     Alcotest.test_case "quadratic fallback (outside class)" `Quick
       test_quadratic_fallback;
+    Alcotest.test_case "quadratic fallback keeps sign" `Quick
+      test_fallback_keeps_sign;
     Alcotest.test_case "Q3-shaped plan = hand-written" `Quick
       test_q3_shaped_plan;
     Alcotest.test_case "explain" `Quick test_explain;

@@ -5,31 +5,30 @@
 open Orq_proto
 open Orq_workloads
 
-let sf = 0.0002
+let data = Workload.suite_data ()
+let plain = data.Workload.tpch
 
-let plain = lazy (Tpch_gen.generate ~seed:99 sf)
+let pp_rows = Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
 
-let check_query kind qname () =
-  let plain = Lazy.force plain in
-  let ctx = Ctx.create ~seed:5 kind in
-  let mdb = Tpch_gen.share ctx plain in
-  let q = Tpch.find qname in
-  let ok, mpc_rows, ref_rows = Tpch.validate q plain mdb in
+let check_entry ?(data = data) ?seed kind (e : Workload.t) =
+  let seed = Option.value seed ~default:(Workload.ctx_seed e) in
+  let ctx = Ctx.create ~seed kind in
+  let ok, mpc_rows, ref_rows = (e.prepare data ctx).Workload.validate () in
   if not ok then
-    Alcotest.failf "%s mismatch:@.MPC: %a@.REF: %a" qname
-      Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
-      mpc_rows
-      Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
-      ref_rows;
-  (* results should not be trivially empty for most queries *)
-  ignore mpc_rows
+    Alcotest.failf "%s mismatch:@.MPC: %a@.REF: %a" e.name pp_rows mpc_rows
+      pp_rows ref_rows
+
+let check_query kind qname () = check_entry kind (Workload.find qname)
 
 let sh_hm_cases =
-  List.map
-    (fun (q : Tpch.query) ->
-      Alcotest.test_case (q.Tpch.name ^ " [SH-HM]") `Slow
-        (check_query Ctx.Sh_hm q.Tpch.name))
-    Tpch.all
+  List.filter_map
+    (fun (e : Workload.t) ->
+      if e.family <> Workload.Tpch then None
+      else
+        Some
+          (Alcotest.test_case (e.name ^ " [SH-HM]") `Slow (fun () ->
+               check_entry Ctx.Sh_hm e)))
+    Workload.all
 
 (* cross-protocol smoke: one cheap and one join-heavy query under the
    dishonest-majority and malicious protocols *)
@@ -97,16 +96,26 @@ let test_generator_deterministic () =
 
 (* robustness: a handful of queries re-validated on an unrelated dataset *)
 let alt_seed_cases =
+  let data = Workload.data ~tpch_seed:777 ~sf:0.0003 () in
   List.map
     (fun qname ->
       Alcotest.test_case (qname ^ " [alt seed]") `Slow (fun () ->
-          let plain = Tpch_gen.generate ~seed:777 0.0003 in
-          let ctx = Ctx.create ~seed:42 Ctx.Sh_hm in
-          let mdb = Tpch_gen.share ctx plain in
-          let q = Tpch.find qname in
-          let ok, _, _ = Tpch.validate q plain mdb in
-          Alcotest.(check bool) (qname ^ " alt-seed validates") true ok))
+          check_entry ~data ~seed:42 Ctx.Sh_hm (Workload.find qname)))
     [ "Q1"; "Q3"; "Q9"; "Q13"; "Q18"; "Q21" ]
+
+(* the analyst learns the declared answer and nothing more: every
+   registered query returns exactly its declared columns, so a reveal of
+   its result opens nothing else *)
+let test_declared_output () =
+  Alcotest.(check int) "registered queries" 36 (List.length Workload.all);
+  List.iter
+    (fun (e : Workload.t) ->
+      let ctx = Ctx.create ~seed:(Workload.ctx_seed e) Ctx.Sh_hm in
+      let t = (e.prepare data ctx).Workload.run () in
+      Alcotest.(check (list string))
+        (e.name ^ " columns") e.compare_cols
+        (Orq_core.Table.col_names t))
+    Workload.all
 
 let () =
   Alcotest.run "orq_tpch"
@@ -118,4 +127,9 @@ let () =
           Alcotest.test_case "determinism" `Quick test_generator_deterministic;
         ] );
       ("tpch-validate", sh_hm_cases @ cross_protocol_cases @ alt_seed_cases);
+      ( "registry",
+        [
+          Alcotest.test_case "every query returns its declared columns" `Slow
+            test_declared_output;
+        ] );
     ]
