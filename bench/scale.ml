@@ -65,7 +65,7 @@ let run_query kind plain qname =
   let (ok, _, _), m =
     measure ctx (fun () ->
         let mdb = Tpch_gen.share ctx plain in
-        Query.validate q plain mdb)
+        Query.validate q plain (q.Query.run mdb))
   in
   (ok, m)
 

@@ -41,7 +41,7 @@ let run_cell kind data (e : Workload.t) c =
       let q = e.prepare data ctx in
       let before = Comm.snapshot ctx.Ctx.comm in
       let t0 = Unix.gettimeofday () in
-      let ok, _, _ = q.Workload.validate () in
+      let ok, _, _ = q.Workload.validate (q.Workload.run ()) in
       let wall_s = Unix.gettimeofday () -. t0 in
       {
         query = e.name;

@@ -136,8 +136,9 @@ let run_registered query proto sf n profile validate =
           (Ctx.kind_label proto) ctx.Ctx.parties;
         let t0 = Unix.gettimeofday () in
         let q = e.Workload.prepare (Workload.data ~sf ~n ()) ctx in
+        let t1 = Unix.gettimeofday () in
         let result = q.Workload.run () in
-        let compute = Unix.gettimeofday () -. t0 in
+        let compute = Unix.gettimeofday () -. t1 in
         let opened = Orq_core.Table.reveal result in
         let tally = Orq_net.Comm.snapshot ctx.Ctx.comm in
         let pre = Orq_net.Comm.snapshot ctx.Ctx.preproc in
@@ -158,6 +159,7 @@ let run_registered query proto sf n profile validate =
           tally.Orq_net.Comm.t_rounds (rounds_label ())
           (float_of_int tally.Orq_net.Comm.t_bits /. 8. /. 1024. /. 1024.)
           (float_of_int pre.Orq_net.Comm.t_bits /. 8. /. 1024. /. 1024.);
+        Printf.printf "data generation and sharing: %.2fs\n" (t1 -. t0);
         Printf.printf "simulation compute: %.2fs | estimated %s end-to-end: %.2fs\n"
           compute profile.Netsim.label
           (compute +. Netsim.network_time profile tally);
@@ -165,7 +167,7 @@ let run_registered query proto sf n profile validate =
         dump_trace ctx;
         if not validate then 0
         else
-          let ok, _, _ = q.Workload.validate () in
+          let ok, _, _ = q.Workload.validate result in
           print_endline
             ("validation against plaintext engine: "
             ^ if ok then "OK" else "MISMATCH");
@@ -339,8 +341,15 @@ let party_run id listen_s peers_s client_s proto seed sf max_rows verbose
         Printf.eprintf "party error: %s\n" msg;
         1
 
-(* --explain: the per-join-node physical-operator decisions of a cold
-   execution — chosen operator first, then every priced candidate. *)
+(* --explain: the per-join-node physical-operator decisions (chosen
+   operator first, then every priced candidate) and the per-GROUP-BY body
+   choices of a cold execution. *)
+let print_cand chosen (c : Wire.join_cand) =
+  Printf.printf "   %s %-6s  %7d rounds | %11d bits | %9d msgs | est. %.4fs\n"
+    (if c.Wire.jc_op = chosen then "*" else " ")
+    c.Wire.jc_op c.Wire.jc_rounds c.Wire.jc_bits c.Wire.jc_messages
+    c.Wire.jc_est_s
+
 let print_explain label (e : Wire.explain) =
   Printf.printf "physical join plan under %s (mode %s, profile %s):\n" label
     e.Wire.e_mode e.Wire.e_profile;
@@ -350,15 +359,15 @@ let print_explain label (e : Wire.explain) =
       Printf.printf "  %s  [%s, n=%d, m=%d] -> %s%s\n" j.Wire.je_node
         j.Wire.je_variant j.Wire.je_n j.Wire.je_m j.Wire.je_chosen
         (if j.Wire.je_forced then " (forced)" else "");
-      List.iter
-        (fun (c : Wire.join_cand) ->
-          Printf.printf
-            "   %s %-6s  %7d rounds | %11d bits | %9d msgs | est. %.4fs\n"
-            (if c.Wire.jc_op = j.Wire.je_chosen then "*" else " ")
-            c.Wire.jc_op c.Wire.jc_rounds c.Wire.jc_bits c.Wire.jc_messages
-            c.Wire.jc_est_s)
-        j.Wire.je_cands)
+      List.iter (print_cand j.Wire.je_chosen) j.Wire.je_cands)
     e.Wire.e_joins;
+  List.iter
+    (fun (g : Wire.group_decision) ->
+      Printf.printf "  %s  [n=%d] -> aggregate[%s]\n" g.Wire.ge_node g.Wire.ge_n
+        (if g.Wire.ge_chosen = "domain" then
+           Printf.sprintf "domain K=%d" g.Wire.ge_k
+         else g.Wire.ge_chosen))
+    e.Wire.e_groups;
   if e.Wire.e_fallbacks > 0 then
     Printf.printf "note: %d out-of-class quadratic fallback(s)\n"
       e.Wire.e_fallbacks

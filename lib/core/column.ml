@@ -1,5 +1,5 @@
-(** Table columns: a secret-shared vector plus its logical bit width and
-    signedness.
+(** Table columns: a secret-shared vector plus its logical bit width,
+    signedness and (optionally) a declared public value domain.
 
     Columns are stored boolean-encoded by default — filters, sorts, joins
     and distinct are all comparison-shaped — and converted to arithmetic
@@ -7,6 +7,14 @@
     representation with on-the-fly conversion. A [signed] column holds
     two's-complement values at its width (e.g. a profit computed by
     subtraction); conversions and comparisons respect the flag.
+
+    A [domain] [(lo, hi)] is schema metadata the data owner declares and
+    checks in plaintext at share time ({!check_domain}): every valid
+    row's value lies in the inclusive range. Operators that move values
+    without computing them (filter, project, rename, sort, shuffle, join
+    carry) keep it; derived columns do not have one. The GROUP BY
+    operator uses it to aggregate into one row per domain value without
+    sorting (DESIGN.md, "GROUP BY over declared domains").
 
     A column's payload lives in one of two representations: [Live] — the
     classic monolithic {!Share.shared}; [Parked] — chunks owned by the
@@ -19,7 +27,12 @@ open Orq_proto
 
 type repr = Live of Share.shared | Parked of Share.chunked
 
-type t = { mutable repr : repr; width : int; signed : bool }
+type t = {
+  mutable repr : repr;
+  width : int;
+  signed : bool;
+  domain : (int * int) option;
+}
 
 let length c =
   match c.repr with
@@ -31,14 +44,30 @@ let enc c =
   | Live s -> s.Share.enc
   | Parked ck -> ck.Share.cenc
 
-let of_plaintext (ctx : Ctx.t) ~width (values : int array) : t =
-  { repr = Live (Share.share ctx Bool values); width; signed = false }
+(** Share-time domain check (data-owner side, plaintext): every row whose
+    validity bit is set holds a value in [lo, hi]. *)
+let check_domain ~name ?valid (lo, hi) (values : int array) =
+  if lo > hi then
+    invalid_arg
+      (Printf.sprintf "column %s: empty declared domain [%d, %d]" name lo hi);
+  Array.iteri
+    (fun i v ->
+      let live = match valid with Some b -> b.(i) = 1 | None -> true in
+      if live && (v < lo || v > hi) then
+        invalid_arg
+          (Printf.sprintf
+             "column %s: row %d holds %d, outside its declared domain [%d, %d]"
+             name i v lo hi))
+    values
 
-let of_shared ?(signed = false) ~width data : t =
-  { repr = Live data; width; signed }
+let of_plaintext (ctx : Ctx.t) ~width ?domain (values : int array) : t =
+  { repr = Live (Share.share ctx Bool values); width; signed = false; domain }
 
-let of_chunked ?(signed = false) ~width ck : t =
-  { repr = Parked ck; width; signed }
+let of_shared ?(signed = false) ?domain ~width data : t =
+  { repr = Live data; width; signed; domain }
+
+let of_chunked ?(signed = false) ?domain ~width ck : t =
+  { repr = Parked ck; width; signed; domain }
 
 (** The monolithic sharing: materializes a parked column (caching the
     result, so repeated access pays the faults once). *)
@@ -50,8 +79,10 @@ let data c =
       c.repr <- Live s;
       s
 
-(** Functional payload replacement, preserving width/signedness. *)
+(** Functional payload replacement, preserving width/signedness/domain. *)
 let with_data c s = { c with repr = Live s }
+
+let with_chunked c ck = { c with repr = Parked ck }
 
 (** Chunked view: a parked column's chunks, or a live column wrapped as a
     single untracked chunk (zero copy). *)

@@ -61,6 +61,72 @@ let distinct (t : Table.t) (keys : string list) : Table.t =
   let dist = Aggnet.distinct_bits ctx ~keys:key_shares in
   parked (Table.and_valid t dist)
 
+(* MIN/MAX lanes (is_min, width, condition bit, values): rows whose
+   condition bit is 0 become the identity of the fold (one fused select),
+   then every lane folds to one value in a lockstep log-depth tree — each
+   level's comparisons and selections are shared rounds across lanes. *)
+let minmax_fold (ctx : Ctx.t)
+    (lanes : (bool * int * Share.shared * Share.shared) array) :
+    Share.shared array =
+  let module Mx = Orq_circuits.Mux in
+  let module Cp = Orq_circuits.Compare in
+  if Array.length lanes = 0 then [||]
+  else begin
+    let ws = Array.map (fun (_, w, _, _) -> w) lanes in
+    let cur =
+      Mx.select_many ~widths:ws ctx
+        (Array.map
+           (fun (is_min, w, b, x) ->
+             let ident = if is_min then Orq_util.Ring.mask w else 0 in
+             (b, Share.public ctx Share.Bool (Share.length x) ident, x))
+           lanes)
+    in
+    while Array.exists (fun s -> Share.length s > 1) cur do
+      let act =
+        Array.of_list
+          (List.filter
+             (fun i -> Share.length cur.(i) > 1)
+             (List.init (Array.length cur) Fun.id))
+      in
+      let parts =
+        Array.map
+          (fun i ->
+            let s = cur.(i) in
+            let n = Share.length s in
+            let half = n / 2 in
+            ( Share.sub_range s 0 half,
+              Share.sub_range s half half,
+              if n mod 2 = 1 then Some (Share.sub_range s (n - 1) 1) else None ))
+          act
+      in
+      let aws = Array.map (fun i -> ws.(i)) act in
+      let lts =
+        Cp.lt_many ctx
+          (Array.mapi
+             (fun j i ->
+               let a, b, _ = parts.(j) in
+               (a, b, ws.(i)))
+             act)
+      in
+      let sels =
+        Mx.select_many ~widths:aws ctx
+          (Array.mapi
+             (fun j i ->
+               let a, b, _ = parts.(j) in
+               let is_min, _, _, _ = lanes.(i) in
+               if is_min then (lts.(j), b, a) else (lts.(j), a, b))
+             act)
+      in
+      Array.iteri
+        (fun j i ->
+          let _, _, rest = parts.(j) in
+          cur.(i) <-
+            (match rest with Some r -> Share.append sels.(j) r | None -> sels.(j)))
+        act
+    done;
+    cur
+  end
+
 (* ------------------------------------------------------------------ *)
 (* GROUP BY aggregation                                                *)
 (* ------------------------------------------------------------------ *)
@@ -175,13 +241,12 @@ let expand_agg (t : Table.t) (a : agg) :
           a.dst ^ "#count" );
       ]
 
-(** GROUP BY [keys] evaluating the aggregations [aggs] (the paper's
-    [.aggregate()]): sorts on the keys, runs the aggregation network, and
-    keeps one valid row per group (the one holding the group total). AVG is
-    computed with the fully private non-restoring division circuit. *)
-let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
+(* The sort body (Protocol 1): sorts on the keys, runs the aggregation
+   network, and keeps one valid row per group (the one holding the group
+   total). *)
+let sort_aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) :
+    Table.t =
   let ctx = Table.ctx t in
-  Ctx.with_label ctx "aggregate" @@ fun () ->
   let t =
     Tablesort.sort
       ~lead:[ (t.Table.valid, 1, Tablesort.Asc) ]
@@ -244,182 +309,271 @@ let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
       t aggs
   in
   let last = Aggnet.last_of_group_bits ctx ~keys:key_shares in
-  parked (Table.and_valid t last)
+  Table.project (Table.and_valid t last) (keys @ List.map (fun a -> a.dst) aggs)
 
-(* ------------------------------------------------------------------ *)
-(* Global (whole-table) aggregation                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** Whole-table aggregation (no grouping key): SUM/COUNT/AVG are computed
-    with a validity-masked local reduction — no sorting at all, which is
-    why the paper's Q6 is its cheapest query — and MIN/MAX with a log-depth
-    compare tree over validity-masked values. Returns a one-row table.
-
-    All aggregates batch across one another: the validity-masking
-    multiplications fuse into one round, every sum/count finish goes
-    through one fused A2B, and the MIN/MAX trees fold in lockstep (each
-    level's comparisons and selections are shared rounds across lanes). *)
-let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
+(* The one-hot body (DESIGN.md, "GROUP BY over declared domains"): every
+   key declares a public domain, so the K groups are known in advance.
+   Row i belongs to group g iff it is valid and each key's low
+   ⌈log₂ |domain|⌉ bits equal g's value there — sound because the share-time
+   check puts every valid key in its domain, where those bits are
+   distinct. One fused equality over the n·K pairs and one daBit
+   conversion give the membership bits; SUM/AVG sums are local per-group
+   sums of one fused multiply, COUNT the local sum of the bits, MIN/MAX
+   K masked folds per lane in lockstep. The finish runs over K rows: one
+   fused A2B, count > 0 as each row's valid bit, and the AVG divisions.
+   Nothing is opened; the output has K physical rows, whose keys are
+   public constants. With no keys this is the whole-table aggregate: K = 1,
+   the valid bit is the membership bit and the one row is always valid. *)
+let onehot_aggregate ~name (t : Table.t) ~(keys : string list)
+    ~(domains : (int * int) list) ~(aggs : agg list) : Table.t =
+  if List.exists (fun a -> match a.fn with Custom _ -> true | _ -> false) aggs
+  then invalid_arg "aggregate: custom combine functions need group keys and the sort body";
   let ctx = Table.ctx t in
-  Ctx.with_label ctx "globalagg" @@ fun () ->
   let module Cv = Orq_circuits.Convert in
-  let module Mx = Orq_circuits.Mux in
   let module Cp = Orq_circuits.Compare in
-  let v_arith = lazy (Cv.bit_b2a ctx t.Table.valid) in
-  let plans =
-    List.map
-      (fun a ->
-        match a.fn with
-        | Sum ->
-            let src = Table.find t a.src in
-            let w = sum_width t src.Column.width in
-            `Masked (a, Column.as_arith ctx src, w, src.Column.signed, false)
-        | Avg ->
-            let ws = sum_width t (Table.width t a.src) in
-            `Masked (a, Column.as_arith ctx (Table.find t a.src), ws, false, true)
-        | Count -> `Count a
-        | Min -> `Minmax (a, true, Table.width t a.src, Table.column t a.src)
-        | Max -> `Minmax (a, false, Table.width t a.src, Table.column t a.src)
-        | Custom _ ->
-            invalid_arg "global_aggregate: custom functions need group keys")
-      aggs
+  let n = Table.nrows t in
+  let sizes = List.map (fun (lo, hi) -> hi - lo + 1) domains in
+  let k = List.fold_left ( * ) 1 sizes in
+  let nk = n * k in
+  let bits = List.map Orq_util.Ring.log2_ceil sizes in
+  (* group g's value of each key: mixed radix, first key most significant *)
+  let key_values =
+    List.mapi
+      (fun j (lo, _) ->
+        let inner =
+          List.fold_left ( * ) 1 (List.filteri (fun i _ -> i > j) sizes)
+        in
+        let size = List.nth sizes j in
+        Array.init k (fun g -> lo + (g / inner mod size)))
+      domains
   in
-  (* fused validity-masked multiplications for SUM/AVG *)
-  let masked_lanes =
-    List.filter_map
-      (function `Masked (_, x, w, _, _) -> Some (x, w) | _ -> None)
-      plans
-  in
-  let products =
-    if masked_lanes = [] then [||]
-    else
-      Mpc.mul_many
-        ~widths:(Array.of_list (List.map snd masked_lanes))
-        ctx
-        (Array.of_list (List.map fst masked_lanes))
-        (Array.of_list (List.map (fun _ -> Lazy.force v_arith) masked_lanes))
-  in
-  (* one fused A2B over every sum/count finish *)
-  let a2b_lanes = ref [] in
-  let na = ref 0 in
-  let push_a2b s w =
-    a2b_lanes := (s, w) :: !a2b_lanes;
-    incr na;
-    !na - 1
-  in
-  let mi = ref 0 in
-  let staged =
-    List.map
-      (fun pl ->
-        match pl with
-        | `Masked (a, _, w, signed, is_avg) ->
-            let p = products.(!mi) in
-            incr mi;
-            let si = push_a2b (Mpc.sum_all p) w in
-            if is_avg then
-              let ci =
-                push_a2b (Mpc.sum_all (Lazy.force v_arith)) (count_width t)
-              in
-              `Avg' (a, w, si, ci)
-            else `Sum' (a, w, signed, si)
-        | `Count a ->
-            let w = count_width t in
-            `Sum' (a, w, false, push_a2b (Mpc.sum_all (Lazy.force v_arith)) w)
-        | `Minmax (a, is_min, w, x) -> `Minmax (a, is_min, w, x))
-      plans
-  in
-  let conv = Cv.a2b_many ctx (Array.of_list (List.rev !a2b_lanes)) in
-  (* MIN/MAX: fused validity masking, then a lockstep log-depth fold *)
-  let mm =
-    Array.of_list
-      (List.filter_map
-         (function
-           | `Minmax (a, is_min, w, x) -> Some (a, is_min, w, x)
-           | _ -> None)
-         staged)
-  in
-  let mm_vals =
-    if Array.length mm = 0 then [||]
+  (* row i's copy for group g sits at pair g·n + i: group-major, so a
+     group's rows are contiguous *)
+  let spread s = if k = 1 then s else Share.gather s (Array.init nk (fun p -> p mod n)) in
+  let membership () =
+    if keys = [] then t.Table.valid
     else begin
-      let ws = Array.map (fun (_, _, w, _) -> w) mm in
-      let cur =
-        Mx.select_many ~widths:ws ctx
-          (Array.map
-             (fun (_, is_min, w, x) ->
-               (* invalid rows become the identity of the fold *)
-               let ident = if is_min then Orq_util.Ring.mask w else 0 in
-               (t.Table.valid, Share.public ctx Share.Bool t.Table.nrows ident, x))
-             mm)
+      (* per row: each key's low bits side by side, then the valid bit *)
+      let packed, pattern, width =
+        List.fold_left2
+          (fun (acc, pat, off) key (b, vals) ->
+            let low =
+              Mpc.and_mask (Column.as_bool ctx (Table.find t key)) (Orq_util.Ring.mask b)
+            in
+            ( Mpc.xor acc (Mpc.lshift low off),
+              Array.mapi (fun g p -> p lor ((vals.(g) land Orq_util.Ring.mask b) lsl off)) pat,
+              off + b ))
+          (Share.public ctx Share.Bool n 0, Array.make k 0, 0)
+          keys
+          (List.combine bits key_values)
       in
-      while Array.exists (fun s -> Share.length s > 1) cur do
-        let act =
-          Array.of_list
-            (List.filter
-               (fun i -> Share.length cur.(i) > 1)
-               (List.init (Array.length cur) Fun.id))
-        in
-        let parts =
-          Array.map
-            (fun i ->
-              let s = cur.(i) in
-              let n = Share.length s in
-              let half = n / 2 in
-              ( Share.sub_range s 0 half,
-                Share.sub_range s half half,
-                if n mod 2 = 1 then Some (Share.sub_range s (n - 1) 1)
-                else None ))
-            act
-        in
-        let aws = Array.map (fun i -> let _, _, w, _ = mm.(i) in w) act in
-        let lts =
-          Cp.lt_many ctx
-            (Array.mapi
-               (fun j i ->
-                 let a, b, _ = parts.(j) in
-                 let _, _, w, _ = mm.(i) in
-                 (a, b, w))
-               act)
-        in
-        let sels =
-          Mx.select_many ~widths:aws ctx
-            (Array.mapi
-               (fun j i ->
-                 let a, b, _ = parts.(j) in
-                 let _, is_min, _, _ = mm.(i) in
-                 if is_min then (lts.(j), b, a) else (lts.(j), a, b))
-               act)
-        in
-        Array.iteri
-          (fun j i ->
-            let _, _, rest = parts.(j) in
-            cur.(i) <-
-              (match rest with
-              | Some r -> Share.append sels.(j) r
-              | None -> sels.(j)))
-          act
-      done;
-      cur
+      let packed = Mpc.xor packed (Mpc.lshift (Mpc.and_mask t.Table.valid 1) width) in
+      Cp.eq ctx ~w:(width + 1) (spread packed)
+        (Share.public_vec ctx Share.Bool
+           (Array.init nk (fun p -> pattern.(p / n) lor (1 lsl width))))
     end
   in
-  let mmi = ref 0 in
-  let cols =
-    List.map
-      (fun st ->
-        match st with
-        | `Sum' (a, w, signed, si) ->
-            (a.dst, Column.of_shared ~signed ~width:w conv.(si))
-        | `Avg' (a, ws, si, ci) ->
-            let q, _ = Orq_circuits.Divide.udiv ctx ~w:ws conv.(si) conv.(ci) in
-            (a.dst, Column.of_shared ~width:ws q)
-        | `Minmax (a, _, w, _) ->
-            let v = mm_vals.(!mmi) in
-            incr mmi;
-            (a.dst, Column.of_shared ~width:w v))
-      staged
+  let group_sums (s : Share.shared) =
+    Share.map_vectors
+      (fun v ->
+        Array.init k (fun g ->
+            let acc = ref 0 in
+            for i = g * n to (g * n) + n - 1 do
+              acc := !acc + v.(i)
+            done;
+            !acc))
+      s
   in
-  Table.of_columns ctx (t.Table.name ^ "_agg")
-    ~valid:(Share.public ctx Share.Bool 1 1)
-    cols
+  let src_col a = Table.find t a.src in
+  let sum_lanes =
+    List.filter_map
+      (fun a ->
+        match a.fn with
+        | Sum | Avg -> Some (a, sum_width t (src_col a).Column.width)
+        | _ -> None)
+      aggs
+  in
+  let sum_srcs = List.sort_uniq compare (List.map (fun (a, _) -> a.src) sum_lanes) in
+  let need_count =
+    keys <> [] || List.exists (fun a -> match a.fn with Count | Avg -> true | _ -> false) aggs
+  in
+  (* the membership bits and the sources' B2A conversions are independent
+     tracks: their rounds overlap *)
+  let member_b = ref t.Table.valid in
+  let tracks =
+    Mpc.fuse_rounds ctx
+      (Array.of_list
+         ((fun () ->
+            member_b := membership ();
+            if need_count || sum_lanes <> [] then Cv.bit_b2a ctx !member_b
+            else !member_b)
+         :: List.map
+              (fun src () -> Column.as_arith ctx (Table.find t src))
+              sum_srcs))
+  in
+  let member_b = !member_b and member_a = tracks.(0) in
+  let arith = List.combine sum_srcs (List.tl (Array.to_list tracks)) in
+  let products =
+    if sum_lanes = [] then [||]
+    else
+      Mpc.mul_many
+        ~widths:(Array.of_list (List.map snd sum_lanes))
+        ctx
+        (Array.of_list (List.map (fun (a, _) -> spread (List.assoc a.src arith)) sum_lanes))
+        (Array.of_list (List.map (fun _ -> member_a) sum_lanes))
+  in
+  let wc = count_width t in
+  (* one fused A2B: the group counts, then every sum lane *)
+  let conv =
+    Array.to_list
+      (Cv.a2b_many ctx
+         (Array.of_list
+            ((if need_count then [ (group_sums member_a, wc) ] else [])
+            @ List.mapi (fun i (_, w) -> (group_sums products.(i), w)) sum_lanes)))
+  in
+  let count, sums = if need_count then (Some (List.hd conv), List.tl conv) else (None, conv) in
+  let count () = Option.get count in
+  let totals = List.combine (List.map fst sum_lanes) sums in
+  let mm =
+    List.filter_map
+      (fun a ->
+        match a.fn with
+        | Min -> Some (a, true)
+        | Max -> Some (a, false)
+        | _ -> None)
+      aggs
+  in
+  let avgs = List.filter (fun a -> match a.fn with Avg -> true | _ -> false) aggs in
+  (* the MIN/MAX folds, the count > 0 test and the divisions are
+     independent tracks *)
+  let extremes = ref [] and valid = ref (Share.public ctx Share.Bool 1 1)
+  and quotients = ref [] in
+  ignore
+    (Mpc.fuse_rounds ctx
+       [|
+         (fun () ->
+           (* one lane per (MIN/MAX, group), agg-major *)
+           let folded =
+             minmax_fold ctx
+               (Array.of_list
+                  (List.concat_map
+                     (fun (a, is_min) ->
+                       let c = src_col a in
+                       let x = Column.as_bool ctx c in
+                       List.init k (fun g ->
+                           ( is_min,
+                             c.Column.width,
+                             (if k = 1 then member_b else Share.sub_range member_b (g * n) n),
+                             x )))
+                     mm))
+           in
+           extremes :=
+             List.mapi
+               (fun i (a, _) ->
+                 (a, Share.concat (Array.to_list (Array.sub folded (i * k) k))))
+               mm);
+         (fun () ->
+           if keys <> [] then
+             valid :=
+               Mpc.xor_pub
+                 (Cp.eq ctx ~w:wc (count ()) (Share.public ctx Share.Bool k 0))
+                 1);
+         (fun () ->
+           quotients :=
+             List.map
+               (fun a ->
+                 let w = sum_width t (src_col a).Column.width in
+                 (a, fst (Orq_circuits.Divide.udiv ctx ~w (List.assq a totals) (count ()))))
+               avgs);
+       |]);
+  let key_cols =
+    List.map2
+      (fun key (vals, d) ->
+        let c = Table.find t key in
+        ( key,
+          Column.of_shared ~signed:c.Column.signed ~domain:d ~width:c.Column.width
+            (Share.public_vec ctx Share.Bool vals) ))
+      keys
+      (List.combine key_values domains)
+  in
+  let agg_cols =
+    List.map
+      (fun a ->
+        let col =
+          match a.fn with
+          | Sum ->
+              let c = src_col a in
+              Column.of_shared ~signed:c.Column.signed
+                ~width:(sum_width t c.Column.width) (List.assq a totals)
+          | Count -> Column.of_shared ~width:wc (count ())
+          | Avg ->
+              Column.of_shared
+                ~width:(sum_width t (src_col a).Column.width)
+                (List.assq a !quotients)
+          | Min | Max ->
+              Column.of_shared ~width:(src_col a).Column.width (List.assq a !extremes)
+          | Custom _ -> assert false
+        in
+        (a.dst, col))
+      aggs
+  in
+  Table.of_columns ctx name ~valid:!valid (key_cols @ agg_cols)
+
+exception Unsupported of string
+
+(* AVG divides with the unsigned circuit; a signed source would come back
+   as an unsigned quotient, so it is refused rather than answered wrong. *)
+let check_avg_unsigned (t : Table.t) (a : agg) =
+  match a.fn with
+  | Avg when (Table.find t a.src).Column.signed ->
+      raise
+        (Unsupported
+           (Printf.sprintf
+              "AVG(%s): %s is a signed column and the division is unsigned; \
+               a signed average is not supported"
+              a.src a.src))
+  | _ -> ()
+
+(** GROUP BY [keys] evaluating the aggregations [aggs] (the paper's
+    [.aggregate()]). Two bodies, chosen per node from public shape by
+    {!Joincost.choose_group_logged}: when every key declares a public
+    domain, one-hot aggregation into the K = product of the domain sizes
+    groups (K output rows, no sort); otherwise sort + aggregation network
+    (one valid row per group, at the group's last row). Either way the
+    result holds the keys and the aggregate destinations only. AVG
+    divides with the fully private non-restoring division circuit; a
+    signed AVG source raises {!Unsupported}. *)
+let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
+  List.iter (check_avg_unsigned t) aggs;
+  let ctx = Table.ctx t in
+  Ctx.with_label ctx "aggregate" @@ fun () ->
+  let domains = List.map (fun k -> (Table.find t k).Column.domain) keys in
+  let domains =
+    if List.for_all Option.is_some domains then Some (List.map Option.get domains)
+    else None
+  in
+  let choice =
+    Joincost.choose_group_logged
+      ~node:("aggregate by " ^ String.concat "," keys)
+      ~n:(Table.nrows t)
+      ~domains:(Option.map (List.map (fun (lo, hi) -> hi - lo + 1)) domains)
+      ~custom:(List.exists (fun a -> match a.fn with Custom _ -> true | _ -> false) aggs)
+  in
+  parked
+    (match (choice, domains) with
+    | Joincost.Group_domain, Some domains ->
+        onehot_aggregate ~name:t.Table.name t ~keys ~domains ~aggs
+    | _ -> sort_aggregate t ~keys ~aggs)
+
+(** Whole-table aggregation (no grouping key): the one-hot body with K = 1
+    — validity-masked local sums for SUM/COUNT/AVG, no sorting at all,
+    which is why the paper's Q6 is its cheapest query — and a log-depth
+    compare tree over validity-masked values for MIN/MAX. Returns a
+    one-row table. *)
+let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
+  List.iter (check_avg_unsigned t) aggs;
+  Ctx.with_label (Table.ctx t) "globalagg" @@ fun () ->
+  onehot_aggregate ~name:(t.Table.name ^ "_agg") t ~keys:[] ~domains:[] ~aggs
 
 (** Broadcast the single row of [scalar] (e.g. a global aggregate) as a new
     constant column of [t] — a local share replication. *)
@@ -605,5 +759,9 @@ let concat_tables (a : Table.t) (b : Table.t) : Table.t =
              joined with
              Column.width = max ca.Column.width cb.Column.width;
              signed = ca.Column.signed || cb.Column.signed;
+             domain =
+               (match (ca.Column.domain, cb.Column.domain) with
+               | Some (la, ha), Some (lb, hb) -> Some (min la lb, max ha hb)
+               | _ -> None);
            } ))
        a.Table.cols)

@@ -43,16 +43,31 @@ type agg = { src : string; dst : string; fn : aggfn }
 val sum_width : Table.t -> int -> int
 val count_width : Table.t -> int
 
+exception Unsupported of string
+(** An aggregation the operators cannot answer correctly (AVG over a
+    signed column: the division is unsigned), refused with a reason that
+    names the column. *)
+
 val aggregate : Table.t -> keys:string list -> aggs:agg list -> Table.t
-(** GROUP BY (the paper's [.aggregate()]): sort on the keys, run the
-    aggregation network, keep one valid row per group. *)
+(** GROUP BY (the paper's [.aggregate()]). The result holds the keys and
+    the aggregate destinations only. When every key declares a public
+    domain ({!Column.t}), there is no custom combine function, K is at
+    most {!Joincost.domain_max_groups} and n·K at most
+    {!Joincost.domain_cap}, one-hot aggregation into the K
+    declared groups: K output rows whose keys are public constants, each
+    valid iff its group is nonempty, and no sort. Otherwise sort on the
+    keys, run the aggregation network and keep one valid row per group.
+    The choice is logged ({!Joincost.choose_group_logged}).
+    @raise Unsupported for AVG over a signed column. *)
 
 (** {2 Whole-table aggregation} *)
 
 val global_aggregate : Table.t -> aggs:agg list -> Table.t
-(** No grouping key: SUM/COUNT/AVG via a validity-masked local reduction
-    (no sorting — why the paper's Q6 is its cheapest query); MIN/MAX via a
-    log-depth compare tree. One-row result. *)
+(** No grouping key: the one-hot body with K = 1. SUM/COUNT/AVG via a
+    validity-masked local reduction (no sorting — why the paper's Q6 is
+    its cheapest query); MIN/MAX via a log-depth compare tree. One-row
+    result, always valid.
+    @raise Unsupported for AVG over a signed column. *)
 
 val with_scalar :
   Table.t -> scalar:Table.t -> src:string -> dst:string -> Table.t

@@ -223,9 +223,9 @@ let finalize (ctx : Ctx.t) ~name ~(valid : Share.shared)
     operator. [copy] names left columns to propagate into matching right
     rows; [aggs] are decomposable aggregations evaluated on the join key
     groups (their results land in the last row of each group). *)
-(* An output column carries its source column's signedness. *)
+(* An output column carries its source column's signedness and domain. *)
 let out_col (src : Table.t) name w d =
-  Column.of_shared ~signed:(Table.find src name).Column.signed ~width:w d
+  { (Column.with_data (Table.find src name) d) with Column.width = w }
 
 let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
     ?(aggs : agg_spec list = []) ?(trim : trim_mode = `Auto)
@@ -295,6 +295,15 @@ let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
     Orq_sort.Quicksort.drop
       (ncopy + match valid_spec with Some _ -> 1 | None -> 0)
       results
+  in
+  (* outer variants keep rows of both inputs valid, with NULL (zero)
+     columns from the side that did not match, so no declared domain
+     holds over their output *)
+  let out_col =
+    match variant with
+    | V_inner | V_anti -> out_col
+    | V_left_outer | V_right_outer | V_full_outer ->
+        fun src name w d -> { (out_col src name w d) with Column.domain = None }
   in
   let out_cols =
     List.map2 (fun (k, w) name -> (name, out_col right name w k)) keys' on

@@ -321,7 +321,6 @@ type decision = {
 let dls_log : decision list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let reset_log () = Domain.DLS.get dls_log := []
 let log () = List.rev !(Domain.DLS.get dls_log)
 
 let choose_logged ctx ~node (s : shape) =
@@ -357,3 +356,49 @@ let log_fallback ctx ~node (s : shape) =
       jd_cands = [ (Quad, t, seconds t) ];
     }
     :: !r
+
+(* ------------------------------------------------------------------ *)
+(* GROUP BY body selection                                             *)
+(* ------------------------------------------------------------------ *)
+
+type group_op = Group_sort | Group_domain
+
+let group_op_label = function Group_sort -> "sort" | Group_domain -> "domain"
+
+(* Saturates at max_int: declared domains may be arbitrarily wide. *)
+let group_k sizes =
+  List.fold_left
+    (fun k z -> if z > 0 && k > max_int / z then max_int else k * z)
+    1 sizes
+
+let domain_max_groups = 32
+let domain_cap = 1 lsl 22
+
+type group_decision = {
+  gd_node : string;
+  gd_n : int;
+  gd_k : int option;
+  gd_chosen : group_op;
+}
+
+let dls_group_log : group_decision list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let group_log () = List.rev !(Domain.DLS.get dls_group_log)
+
+let choose_group_logged ~node ~n ~domains ~custom =
+  let k = Option.map group_k domains in
+  let chosen =
+    match k with
+    | Some k
+      when (not custom) && n > 0 && k <= domain_max_groups && k <= domain_cap / n ->
+        Group_domain
+    | _ -> Group_sort
+  in
+  let r = Domain.DLS.get dls_group_log in
+  r := { gd_node = node; gd_n = n; gd_k = k; gd_chosen = chosen } :: !r;
+  chosen
+
+let reset_log () =
+  Domain.DLS.get dls_log := [];
+  Domain.DLS.get dls_group_log := []

@@ -111,6 +111,8 @@ type decision = {
 }
 
 val reset_log : unit -> unit
+(** Clear this domain's join and GROUP BY decision logs. *)
+
 val log : unit -> decision list
 
 val choose_logged : Ctx.t -> node:string -> shape -> op
@@ -122,3 +124,45 @@ val log_fallback : Ctx.t -> node:string -> shape -> unit
     sides) that bypassed selection for the baseline quadratic operator —
     logged as a forced [Quad] decision so explain output stays
     complete. *)
+
+(** {2 GROUP BY body selection}
+
+    {!Dataflow.aggregate} has two bodies: sort + aggregation network
+    (Protocol 1), and one-hot aggregation into the K groups of the keys'
+    declared public domains (no sort). The choice is a rule over public
+    shape, not a priced comparison: the one-hot body runs iff every key
+    declares a domain, no aggregate is a custom combine function, the
+    input is nonempty, K <= {!domain_max_groups} and n·K <= {!domain_cap}. *)
+
+type group_op = Group_sort | Group_domain
+
+val group_op_label : group_op -> string
+
+val group_k : int list -> int
+(** K, the product of the declared domain sizes, saturating at
+    [max_int]. *)
+
+val domain_max_groups : int
+(** 32: past this many groups the one-hot body's n·K membership pairs,
+    products and MIN/MAX folds cost more than the sort (measured under
+    SH-HM at n = 1024 and 4096; DESIGN.md, "GROUP BY over declared
+    domains"). *)
+
+val domain_cap : int
+(** 2^22: the most membership pairs (n·K) the one-hot body materializes
+    per lane, which bounds its working set. *)
+
+type group_decision = {
+  gd_node : string;  (** "aggregate by k1,k2" *)
+  gd_n : int;  (** input physical rows *)
+  gd_k : int option;  (** K, when every key declares a domain *)
+  gd_chosen : group_op;
+}
+
+val group_log : unit -> group_decision list
+
+val choose_group_logged :
+  node:string -> n:int -> domains:int list option -> custom:bool -> group_op
+(** The body for one GROUP BY node from its input row count [n], the
+    keys' domain sizes ([None] when some key has no declared domain) and
+    whether a custom combine function is present, plus a log record. *)

@@ -164,7 +164,7 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
           | Some w -> w
           | None -> c.Column.width
         in
-        (name, Column.of_shared ~signed:c.Column.signed ~width:w d))
+        (name, { (Column.with_data c d) with Column.width = w }))
       right.Table.cols probe_data'
   in
   let key_cols, pay_cols =
@@ -223,8 +223,7 @@ let quad (ctx : Ctx.t) ?(copy : string list = []) ~(left : Table.t)
           if List.mem name on then min c.Column.width (Table.width left name)
           else c.Column.width
         in
-        ( name,
-          Column.of_shared ~signed:c.Column.signed ~width:w (Share.gather d ri) ))
+        (name, { (Column.with_data c (Share.gather d ri)) with Column.width = w }))
       right.Table.cols right_bits
   in
   let key_cols, pay_cols =

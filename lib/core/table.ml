@@ -34,14 +34,22 @@ let column t name = Column.data (find t name)
 let mem t name = List.mem_assoc name t.cols
 
 (** Data-owner-side table construction from plaintext columns. All rows are
-    initially valid unless a validity vector is supplied (padding). *)
+    initially valid unless a validity vector is supplied (padding).
+    [domains] declares public value ranges for some columns; each is
+    checked here, in plaintext, over the valid rows before sharing. *)
 let create (ctx : Ctx.t) name ?(valid : int array option)
+    ?(domains : (string * (int * int)) list = [])
     (cols : (string * int * int array) list) : t =
   let nrows =
     match cols with
     | (_, _, v) :: _ -> Array.length v
     | [] -> invalid_arg "Table.create: no columns"
   in
+  List.iter
+    (fun (d, _) ->
+      if not (List.exists (fun (n, _, _) -> n = d) cols) then
+        invalid_arg ("Table.create: domain for unknown column " ^ d))
+    domains;
   let valid_bits =
     match valid with Some v -> v | None -> Array.make nrows 1
   in
@@ -53,7 +61,9 @@ let create (ctx : Ctx.t) name ?(valid : int array option)
         (fun (n, w, v) ->
           if Array.length v <> nrows then
             invalid_arg ("Table.create: ragged column " ^ n);
-          (n, Column.of_plaintext ctx ~width:w v))
+          let domain = List.assoc_opt n domains in
+          Option.iter (fun d -> Column.check_domain ~name:n ?valid d v) domain;
+          (n, Column.of_plaintext ctx ~width:w ?domain v))
         cols;
     valid = Share.share ctx Bool valid_bits;
     nrows;
@@ -139,34 +149,44 @@ let and_valid t (bit : Share.shared) =
 
 (** Open the table to the analyst: invalid rows are masked to zero and the
     table is shuffled before opening (§3.1), so only the valid result rows
-    carry information. Returns the valid rows as plaintext columns. *)
+    carry information. Every column opens at its declared width in one
+    fused round (signed columns sign-extend afterwards). Returns the valid
+    rows as plaintext columns. *)
 let reveal (t : t) : (string * int array) list =
   let ctx = t.ctx in
   Ctx.with_label ctx "reveal" @@ fun () ->
   let ext = Mpc.extend_bit t.valid in
   let names = List.map fst t.cols in
-  let datas = List.map (fun (_, c) -> Column.as_bool ctx c) t.cols in
+  let cols = Array.of_list (List.map snd t.cols) in
+  let widths = Array.map (fun c -> c.Column.width) cols in
   let masked =
-    match datas with
-    | [] -> []
-    | _ ->
-        let n = t.nrows in
-        let exts = List.map (fun _ -> ext) datas in
-        let all = Mpc.band ctx (Share.concat exts) (Share.concat datas) in
-        List.mapi (fun i _ -> Share.sub_range all (i * n) n) datas
+    Mpc.band_many ~widths ctx
+      (Array.map (fun _ -> ext) cols)
+      (Array.map (Column.as_bool ctx) cols)
   in
-  let shuffled = Orq_shuffle.Permops.shuffle_table ctx (t.valid :: masked) in
+  let shuffled =
+    Orq_shuffle.Permops.shuffle_table ctx (t.valid :: Array.to_list masked)
+  in
   match shuffled with
   | [] -> []
-  | v :: cols ->
-      let vbits = Mpc.open_ ~width:1 ctx v in
-      let opened = List.map (fun c -> Mpc.open_ ctx c) cols in
+  | v :: data ->
+      let opened =
+        Mpc.open_many ~widths:(Array.append [| 1 |] widths) ctx
+          (Array.of_list (v :: data))
+      in
       let keep = ref [] in
-      Array.iteri (fun i b -> if b = 1 then keep := i :: !keep) vbits;
+      Array.iteri (fun i b -> if b = 1 then keep := i :: !keep) opened.(0);
       let keep = Array.of_list (List.rev !keep) in
-      List.map2
-        (fun name c -> (name, Array.map (fun i -> c.(i)) keep))
-        names opened
+      List.mapi
+        (fun j name ->
+          let c = cols.(j) and w = widths.(j) in
+          let value x =
+            let x = x land Orq_util.Ring.mask w in
+            if c.Column.signed && w < 63 && x lsr (w - 1) = 1 then x - (1 lsl w)
+            else x
+          in
+          (name, Array.map (fun i -> value opened.(j + 1).(i)) keep))
+        names
 
 (** Test-only: reconstruct all columns and the validity bits without the
     masking/shuffling/opening protocol (no party could do this). *)

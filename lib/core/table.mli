@@ -26,10 +26,18 @@ val column : t -> string -> Share.shared
 val mem : t -> string -> bool
 
 val create :
-  Ctx.t -> string -> ?valid:int array -> (string * int * int array) list -> t
+  Ctx.t ->
+  string ->
+  ?valid:int array ->
+  ?domains:(string * (int * int)) list ->
+  (string * int * int array) list ->
+  t
 (** Data-owner-side construction from plaintext columns
     (name, bit width, values); all rows valid unless a validity vector is
-    supplied. *)
+    supplied. [domains] declares public inclusive value ranges, checked
+    over the valid rows before sharing.
+    @raise Invalid_argument when a valid row's value is out of its
+    column's domain. *)
 
 val of_columns :
   Ctx.t -> string -> valid:Share.shared -> (string * Column.t) list -> t
@@ -61,7 +69,9 @@ val and_valid : t -> Share.shared -> t
 val reveal : t -> (string * int array) list
 (** Open to the analyst: invalid rows are masked to zero and the table
     shuffled before opening, so only valid rows carry information (their
-    order is destroyed — re-sort plaintext locally if needed). *)
+    order is destroyed — re-sort plaintext locally if needed). Columns
+    open at their declared widths in one round; signed columns come back
+    sign-extended. *)
 
 val peek : t -> (string * int array) list * int array
 (** Test-only: reconstruct all columns and validity bits directly. *)

@@ -102,7 +102,7 @@ let sort ?(lead : (Share.shared * int * order) list = []) (t : Table.t)
   (* parked in, parked out: tracked results stay chunked *)
   let recol c (res : Share.chunked) =
     if Share.chunked_tracked res then
-      Column.of_chunked ~signed:c.Column.signed ~width:c.Column.width res
+      Column.with_chunked c res
     else Column.with_data c (Share.unpark res)
   in
   match sorted_others with

@@ -10,7 +10,7 @@ let max_frame = 16 * 1024 * 1024
 (* Compat guard for future wire changes: [Hello] carries the client's
    protocol version; the server rejects a mismatch with a clear error
    instead of mis-decoding later frames. Bump on any frame-layout change. *)
-let protocol_version = 4
+let protocol_version = 5
 
 type err_code = Bad_request | Busy | Too_large | Internal
 
@@ -84,11 +84,19 @@ type join_decision = {
   je_cands : join_cand list;
 }
 
+type group_decision = {
+  ge_node : string;  (** "aggregate by k1,k2" *)
+  ge_n : int;  (** input physical rows *)
+  ge_k : int;  (** declared groups (product of domain sizes; 0 without) *)
+  ge_chosen : string;  (** "sort" | "domain" *)
+}
+
 type explain = {
   e_mode : string;  (** active ORQ_JOIN mode: auto | sort | linear | quad *)
   e_profile : string;  (** pacing profile costs were compared under *)
   e_fallbacks : int;  (** out-of-class quadratic fallbacks *)
   e_joins : join_decision list;
+  e_groups : group_decision list;
 }
 
 type request =
@@ -366,7 +374,14 @@ let encode_response (r : response) : bytes =
               put_i64 b cand.jc_messages;
               put_f64 b cand.jc_est_s)
             j.je_cands)
-        e.e_joins);
+        e.e_joins;
+      put_list b
+        (fun b (g : group_decision) ->
+          put_string b g.ge_node;
+          put_i64 b g.ge_n;
+          put_i64 b g.ge_k;
+          put_string b g.ge_chosen)
+        e.e_groups);
   Buffer.to_bytes b
 
 let decode_request (body : bytes) : request =
@@ -515,7 +530,15 @@ let decode_response (body : bytes) : response =
               in
               { je_node; je_variant; je_n; je_m; je_chosen; je_forced; je_cands })
         in
-        Explain_r { e_mode; e_profile; e_fallbacks; e_joins }
+        let e_groups =
+          get_list c (fun c ->
+              let ge_node = get_string c in
+              let ge_n = get_i64 c in
+              let ge_k = get_i64 c in
+              let ge_chosen = get_string c in
+              { ge_node; ge_n; ge_k; ge_chosen })
+        in
+        Explain_r { e_mode; e_profile; e_fallbacks; e_joins; e_groups }
     | t -> fail "unknown response tag 0x%02x" t
   in
   finish c;

@@ -113,14 +113,24 @@ type join_decision = {
 }
 (** The physical-operator decision at one join node. *)
 
+type group_decision = {
+  ge_node : string;  (** "aggregate by k1,k2" *)
+  ge_n : int;  (** input physical rows *)
+  ge_k : int;  (** declared groups (product of domain sizes; 0 without) *)
+  ge_chosen : string;  (** "sort" | "domain" *)
+}
+(** The body choice at one GROUP BY node ({!Orq_core.Joincost}). *)
+
 type explain = {
   e_mode : string;  (** active ORQ_JOIN mode: auto | sort | linear | quad *)
   e_profile : string;  (** pacing profile costs were compared under *)
   e_fallbacks : int;  (** out-of-class quadratic fallbacks *)
   e_joins : join_decision list;
+  e_groups : group_decision list;
 }
 (** The response body of {!request.Explain}: every join node's physical
-    operator choice with all candidates' predicted costs. *)
+    operator choice with all candidates' predicted costs, and every
+    GROUP BY node's body. *)
 
 type request =
   | Hello of { h_version : int; h_proto : string; h_client : string }

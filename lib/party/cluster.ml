@@ -393,8 +393,7 @@ let handle_client_request (cfg : config) (b : backend) (ex : Exchange.t)
       match run sql with
       | Wire.Result r ->
           Wire.Explain_r
-            (Service.explain_of_log ~fallbacks:r.Wire.r_fallbacks
-               (Orq_core.Joincost.log ()))
+            (Service.explain_of_log ~fallbacks:r.Wire.r_fallbacks ())
       | other -> other)
   | Wire.Net_stats_req -> (
       match co.c_last with

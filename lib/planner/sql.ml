@@ -458,5 +458,10 @@ let parse_query (cat : catalog) (sql : string) : Plan.node * string list =
     column order, and the number of quadratic fallbacks taken. *)
 let run (cat : catalog) (sql : string) : Table.t * string list * int =
   let plan, out_cols = parse_query cat sql in
-  let t, fb = Compile.run ~need:out_cols plan in
+  (* an aggregation the operators refuse (AVG over a signed column) is a
+     planner error here *)
+  let t, fb =
+    try Compile.run ~need:out_cols plan
+    with Dataflow.Unsupported msg -> raise (Parse_error msg)
+  in
   (Table.project t (List.filter (fun c -> Table.mem t c) out_cols), out_cols, fb)

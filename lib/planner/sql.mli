@@ -24,4 +24,6 @@ val parse_query : catalog -> string -> Plan.node * string list
 
 val run : catalog -> string -> Orq_core.Table.t * string list * int
 (** Parse, optimize, compile and execute; returns the projected result,
-    the output column order, and the quadratic-fallback count. *)
+    the output column order, and the quadratic-fallback count.
+    @raise Parse_error also when an operator refuses the plan (its
+    [Invalid_argument] reason, e.g. AVG over a signed column). *)

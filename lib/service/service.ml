@@ -228,10 +228,10 @@ let execute_sql ~(ctx : Ctx.t) ~(db : Tpch_gen.mpc) ~qseed ~max_rows sql :
           r_spills = (Orq_util.Chunkvec.stats ()).Orq_util.Chunkvec.st_spills - m0;
         }
 
-(* Render the worker domain's Joincost decision log as the Explain wire
-   body. Must run on the domain that executed the query — the log is
-   domain-local state. *)
-let explain_of_log ~fallbacks (ds : Joincost.decision list) : Wire.explain =
+(* Render the worker domain's Joincost decision logs (join nodes and
+   GROUP BY nodes) as the Explain wire body. Must run on the domain that
+   executed the query — the logs are domain-local state. *)
+let explain_of_log ~fallbacks () : Wire.explain =
   let cand (op, tally, est) =
     {
       Wire.jc_op = Joincost.op_label op;
@@ -252,11 +252,20 @@ let explain_of_log ~fallbacks (ds : Joincost.decision list) : Wire.explain =
       je_cands = List.map cand d.jd_cands;
     }
   in
+  let group (g : Joincost.group_decision) =
+    {
+      Wire.ge_node = g.Joincost.gd_node;
+      ge_n = g.gd_n;
+      ge_k = Option.value g.gd_k ~default:0;
+      ge_chosen = Joincost.group_op_label g.gd_chosen;
+    }
+  in
   {
     Wire.e_mode = Joincost.mode_label (Joincost.mode ());
     e_profile = (Joincost.profile ()).Netsim.label;
     e_fallbacks = fallbacks;
-    e_joins = List.map dec ds;
+    e_joins = List.map dec (Joincost.log ());
+    e_groups = List.map group (Joincost.group_log ());
   }
 
 let execute t backends (j : job) : Wire.response =
@@ -271,7 +280,7 @@ let execute t backends (j : job) : Wire.response =
     match run () with
     | Wire.Result r ->
         Wire.Explain_r
-          (explain_of_log ~fallbacks:r.Wire.r_fallbacks (Joincost.log ()))
+          (explain_of_log ~fallbacks:r.Wire.r_fallbacks ())
     | other -> other
   end
 

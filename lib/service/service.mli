@@ -111,8 +111,8 @@ val execute_sql :
 val pace_of_label : string -> (Orq_net.Netsim.profile option, string) result
 (** "off" | "none" | "" | "lan" | "wan" | "geo". *)
 
-val explain_of_log :
-  fallbacks:int -> Orq_core.Joincost.decision list -> Orq_net.Wire.explain
-(** Render a {!Orq_core.Joincost} decision log as the [Explain_r] wire
-    body. Must be called on the domain that executed the query — the
-    decision log is domain-local state. *)
+val explain_of_log : fallbacks:int -> unit -> Orq_net.Wire.explain
+(** Render this domain's {!Orq_core.Joincost} decision logs (join nodes
+    and GROUP BY nodes) as the [Explain_r] wire body. Must be called on
+    the domain that executed the query — the logs are domain-local
+    state. *)

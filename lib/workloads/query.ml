@@ -13,8 +13,7 @@ let make name ~run ~reference compare_cols =
     compare_cols;
   }
 
-let validate q plain mdb =
-  let result = q.run mdb in
+let validate q plain result =
   let widths =
     List.map (fun c -> Orq_core.Table.width result c) q.compare_cols
   in

@@ -23,7 +23,9 @@ val make :
     (a local operation), so {!Orq_core.Table.reveal} opens nothing else.
     The record is private: every query is built here. *)
 
-val validate : ('m, 'p) t -> 'p -> 'm -> bool * int list list * int list list
-(** Run the query under MPC and in the plaintext engine; compare valid
-    rows masked to the MPC column widths (signed aggregates are two's
-    complement at their width). Returns (ok, mpc rows, reference rows). *)
+val validate :
+  ('m, 'p) t -> 'p -> Orq_core.Table.t -> bool * int list list * int list list
+(** [validate q plain result] checks a result [q.run] already computed
+    against the plaintext engine: compare valid rows masked to the MPC
+    column widths (signed aggregates are two's complement at their
+    width). Returns (ok, mpc rows, reference rows). *)

@@ -249,14 +249,42 @@ let generate ?(seed = 2024) (sf : float) : plain =
   { region; nation; supplier; customer; part; partsupp; orders; lineitem }
 
 (* ------------------------------------------------------------------ *)
+(* Declared public domains                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** The public value domains (inclusive) the catalog declares for a
+    table's columns: the TPC-H enumerations (return flag, line status,
+    ship mode, order priority, market segment, phone country code) and
+    the supplier keys, whose range [1, |supplier|] follows from the public
+    supplier row count. *)
+let domains (db : plain) (table : string) : (string * (int * int)) list =
+  let n_supplier = Orq_plaintext.Ptable.nrows db.supplier in
+  match table with
+  | "supplier" -> [ ("s_suppkey", (1, n_supplier)) ]
+  | "customer" -> [ ("c_mktsegment", (1, 5)); ("c_phone_cc", (10, 34)) ]
+  | "partsupp" -> [ ("ps_suppkey", (1, n_supplier)) ]
+  | "orders" -> [ ("o_orderpriority", (1, 5)) ]
+  | "lineitem" ->
+      [
+        ("l_suppkey", (1, n_supplier));
+        ("l_returnflag", (0, 2));
+        ("l_linestatus", (0, 1));
+        ("l_shipmode", (1, 7));
+      ]
+  | _ -> []
+
+(* ------------------------------------------------------------------ *)
 (* Sharing the database                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Both branches check every declared domain in plaintext before any
+   value is shared. *)
 let share_table (ctx : Orq_proto.Ctx.t) name (cols : (string * int) list)
-    (p : Orq_plaintext.Ptable.t) : Orq_core.Table.t =
+    ~(domains : (string * (int * int)) list) (p : Orq_plaintext.Ptable.t) :
+    Orq_core.Table.t =
   let n = Orq_plaintext.Ptable.nrows p in
   if not (Orq_util.Chunkvec.streaming_enabled ()) then
-    Orq_core.Table.create ctx name
+    Orq_core.Table.create ctx name ~domains
       (List.map
          (fun (cname, w) ->
            let get = Orq_plaintext.Ptable.get p cname in
@@ -276,12 +304,18 @@ let share_table (ctx : Orq_proto.Ctx.t) name (cols : (string * int) list)
       List.map
         (fun (cname, w) ->
           let ci = Orq_plaintext.Ptable.col_idx p cname in
+          let domain = List.assoc_opt cname domains in
+          Option.iter
+            (fun d ->
+              Orq_core.Column.check_domain ~name:cname d
+                (Array.map (fun row -> List.nth row ci) rows))
+            domain;
           let ck =
             Orq_proto.Share.share_chunked ctx Orq_proto.Share.Bool ~n
               (fun pos len ->
                 Array.init len (fun i -> List.nth rows.(pos + i) ci))
           in
-          (cname, Orq_core.Column.of_chunked ~width:w ck))
+          (cname, Orq_core.Column.of_chunked ?domain ~width:w ck))
         cols
     in
     let valid = Orq_proto.Share.share ctx Orq_proto.Share.Bool (Array.make n 1) in
@@ -290,15 +324,18 @@ let share_table (ctx : Orq_proto.Ctx.t) name (cols : (string * int) list)
 
 (** Secret-share a generated database for the computing parties. *)
 let share (ctx : Orq_proto.Ctx.t) (db : plain) : mpc =
+  let share_table name cols p =
+    share_table ctx name cols ~domains:(domains db name) p
+  in
   {
-    m_region = share_table ctx "region" region_cols db.region;
-    m_nation = share_table ctx "nation" nation_cols db.nation;
-    m_supplier = share_table ctx "supplier" supplier_cols db.supplier;
-    m_customer = share_table ctx "customer" customer_cols db.customer;
-    m_part = share_table ctx "part" part_cols db.part;
-    m_partsupp = share_table ctx "partsupp" partsupp_cols db.partsupp;
-    m_orders = share_table ctx "orders" orders_cols db.orders;
-    m_lineitem = share_table ctx "lineitem" lineitem_cols db.lineitem;
+    m_region = share_table "region" region_cols db.region;
+    m_nation = share_table "nation" nation_cols db.nation;
+    m_supplier = share_table "supplier" supplier_cols db.supplier;
+    m_customer = share_table "customer" customer_cols db.customer;
+    m_part = share_table "part" part_cols db.part;
+    m_partsupp = share_table "partsupp" partsupp_cols db.partsupp;
+    m_orders = share_table "orders" orders_cols db.orders;
+    m_lineitem = share_table "lineitem" lineitem_cols db.lineitem;
   }
 
 (** Total input rows of a database (the paper's query-size metric). *)

@@ -38,7 +38,14 @@ val sizes : float -> int * int * int * int
 (** (supplier, customer, part, orders) row counts at a scale factor. *)
 
 val generate : ?seed:int -> float -> plain
+val domains : plain -> string -> (string * (int * int)) list
+(** The public inclusive value domains declared for a table's columns
+    (empty for unknown tables). Supplier keys range over
+    [1, |supplier|], a public row count. *)
+
 val share : Orq_proto.Ctx.t -> plain -> mpc
+(** Secret-share a generated database; every declared domain is checked
+    in plaintext first (@raise Invalid_argument on a value outside it). *)
 
 val total_rows : plain -> int
 (** Total input rows — the paper's query-size metric. *)

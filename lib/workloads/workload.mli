@@ -29,8 +29,9 @@ val suite_data : ?sf:float -> ?n:int -> unit -> data
 
 type prepared = {
   run : unit -> Orq_core.Table.t;
-  validate : unit -> bool * int list list * int list list;
-      (** {!Query.validate}: (ok, mpc rows, reference rows) *)
+  validate : Orq_core.Table.t -> bool * int list list * int list list;
+      (** {!Query.validate} of a result [run] computed: (ok, mpc rows,
+          reference rows) *)
 }
 
 type t = {

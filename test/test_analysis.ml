@@ -103,9 +103,9 @@ let reveal t = List.map (fun (n, c) -> (n, Column.reconstruct c)) t
     (stale_of ~filename:"lib/core/table.ml"
        {|
 let reveal ctx v =
-  let vbits = Mpc.open_ ~width:1 ctx v in
+  let vbits = Mpc.open_many ~widths:[| 1 |] ctx [| v |] in
   let keep = ref [] in
-  Array.iteri (fun i b -> if b = 1 then keep := i :: !keep) vbits;
+  Array.iteri (fun i b -> if b = 1 then keep := i :: !keep) vbits.(0);
   !keep
 |});
   Alcotest.check pair "modules not linted are not judged" []

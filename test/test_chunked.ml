@@ -327,7 +327,7 @@ let check_query qname kind =
   let ctx1 = Ctx.create ~seed:5 kind in
   let mdb1 = Tpch_gen.share ctx1 plain in
   let before1 = Comm.snapshot ctx1.Ctx.comm in
-  let ok1, rows1, _ = Orq_workloads.Query.validate q plain mdb1 in
+  let ok1, rows1, _ = Orq_workloads.Query.validate q plain (q.run mdb1) in
   let tal1 = Comm.since ctx1.Ctx.comm before1 in
   Alcotest.(check bool) (tag "monolithic ok") true ok1;
   (* chunked run under a budget small enough to force spilling *)
@@ -336,7 +336,7 @@ let check_query qname kind =
       let ctx2 = Ctx.create ~seed:5 kind in
       let mdb2 = Tpch_gen.share ctx2 plain in
       let before2 = Comm.snapshot ctx2.Ctx.comm in
-      let ok2, rows2, _ = Orq_workloads.Query.validate q plain mdb2 in
+      let ok2, rows2, _ = Orq_workloads.Query.validate q plain (q.run mdb2) in
       let tal2 = Comm.since ctx2.Ctx.comm before2 in
       Alcotest.(check bool) (tag "chunked ok") true ok2;
       Alcotest.(check (list (list int))) (tag "rows") rows1 rows2;

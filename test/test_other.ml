@@ -10,7 +10,8 @@ let pp_rows = Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
 let check ~data ~seed kind qname () =
   let e = Workload.find qname in
   let ctx = Ctx.create ~seed kind in
-  let ok, mpc_rows, ref_rows = (e.prepare data ctx).Workload.validate () in
+  let q = e.prepare data ctx in
+  let ok, mpc_rows, ref_rows = q.Workload.validate (q.Workload.run ()) in
   if not ok then
     Alcotest.failf "%s mismatch:@.MPC: %a@.REF: %a" qname pp_rows mpc_rows
       pp_rows ref_rows

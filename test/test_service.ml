@@ -105,6 +105,38 @@ let test_wire_responses () =
           s_mem_spilled_bytes = 987_654_321;
           s_rss_peak_kb = 204_800;
         };
+      Wire.Explain_r
+        {
+          e_mode = "auto";
+          e_profile = "lan";
+          e_fallbacks = 1;
+          e_joins =
+            [
+              {
+                je_node = "join on k";
+                je_variant = "inner";
+                je_n = 40;
+                je_m = 12;
+                je_chosen = "linear";
+                je_forced = false;
+                je_cands =
+                  [
+                    {
+                      jc_op = "linear";
+                      jc_rounds = 30;
+                      jc_bits = 9_000;
+                      jc_messages = 60;
+                      jc_est_s = 0.25;
+                    };
+                  ];
+              };
+            ];
+          e_groups =
+            [
+              { ge_node = "aggregate by a,b"; ge_n = 40; ge_k = 6; ge_chosen = "domain" };
+              { ge_node = "aggregate by c"; ge_n = 12; ge_k = 0; ge_chosen = "sort" };
+            ];
+        };
     ]
 
 let test_wire_rejects_oversized () =

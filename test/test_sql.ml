@@ -143,6 +143,18 @@ let test_division_by_constant () =
         (fun () -> ignore (Expr.eval_col orders Expr.(Div_pub (col "price", d)))))
     [ 0; -4 ]
 
+let test_signed_avg () =
+  (* the operators refuse AVG over a signed column; SQL reports it *)
+  match
+    run
+      "SELECT seg, price - 100 AS d, AVG(d) AS m FROM customers JOIN orders \
+       USING (cust) GROUP BY seg"
+  with
+  | exception Sql.Parse_error msg ->
+      Alcotest.(check string) "names the column" "AVG(d)" (String.sub msg 0 6)
+  | exception e -> Alcotest.failf "expected Parse_error, got %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "expected Parse_error"
+
 let test_unknown_table () =
   (* a catalog miss (raw [Not_found]) must surface as a clean
      [Parse_error] so servers can return an error frame *)
@@ -188,6 +200,7 @@ let suite =
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "division by a constant <= 0" `Quick
       test_division_by_constant;
+    Alcotest.test_case "signed AVG is a planner error" `Quick test_signed_avg;
     Alcotest.test_case "unknown table" `Quick test_unknown_table;
     Alcotest.test_case "sql vs plaintext" `Quick test_vs_plaintext;
   ]

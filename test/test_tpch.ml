@@ -13,7 +13,8 @@ let pp_rows = Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
 let check_entry ?(data = data) ?seed kind (e : Workload.t) =
   let seed = Option.value seed ~default:(Workload.ctx_seed e) in
   let ctx = Ctx.create ~seed kind in
-  let ok, mpc_rows, ref_rows = (e.prepare data ctx).Workload.validate () in
+  let q = e.prepare data ctx in
+  let ok, mpc_rows, ref_rows = q.Workload.validate (q.Workload.run ()) in
   if not ok then
     Alcotest.failf "%s mismatch:@.MPC: %a@.REF: %a" e.name pp_rows mpc_rows
       pp_rows ref_rows
